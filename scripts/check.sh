@@ -5,27 +5,13 @@
 #   format       .clang-format via scripts/format-check.sh
 #   build        default build (everything: tests, examples, benches)
 #   tier1/tier2  default ctest
+#   ignored-inputs  fails if any file under src/ tests/ scripts/ bench/
+#                examples/ perfbench/ is matched by .gitignore: such a
+#                file exists in the working tree but can never be committed
 #   lint-project scripts/dynamast-lint.py project-invariant linter
 #                (lock-class registry, sched-op pairing, history
-#                commit/abort pairing, metric naming, tsa-escape and
-#                CSA-allowlist justifications, hot-path-root registry,
-#                atomic-field registry)
-#   csa          scripts/csa.py critical-section cost analyzer: fixture
-#                suite, the ratchet against CSA_BASELINE.json, and a
-#                double-dump reproducibility check; on failure the
-#                current profile is left in build/csa/ for diffing
-#   hpa          scripts/hpa.py hot-path cost analyzer: fixture suite,
-#                the ratchet against HPA_BASELINE.json, and a
-#                double-dump reproducibility check; on failure the
-#                current profile is left in build/hpa/ for diffing
-#   ama          scripts/ama.py atomics & memory-order analyzer: fixture
-#                suite, the ratchet against AMA_BASELINE.json, and a
-#                double-dump reproducibility check; on failure the
-#                current profile is left in build/ama/ for diffing
-#   bench-trend  ratcheted perf gate: newest committed BENCH_*.json
-#                trajectory point vs its predecessor; fails on a
-#                throughput drop >30% or p99 rise >75% per series
-#                unless waived (with a reason) in BENCH_WAIVERS.json
+#                commit/abort pairing, metric naming, tsa-escape
+#                justifications, lock-profile labels)
 #   tsa          clang-tsa preset: src/ under -Werror=thread-safety,
 #                plus the tests/tsa_compile_fail negative-compile suite
 #   clang-tidy   .clang-tidy over src/ (compile_commands.json)
@@ -49,6 +35,9 @@
 #                counts, refresh-delay histogram, routing-explain factor
 #                sums, correlated trace spans) and reconciles metrics
 #                against the history via si_checker --metrics
+#   lock-profile the same short run on the lock-profile preset; prints
+#                every lock_* series and fails unless site.state has a
+#                measured hold time (runs and skips with observability)
 #
 # Every stage runs even if an earlier one failed; the summary table at the
 # end shows PASS/FAIL/SKIP per stage and the exit code propagates any
@@ -60,7 +49,7 @@
 #   JOBS=<n>         parallel build jobs (default: nproc)
 #   SKIP_ASAN=1      skip the asan-ubsan stage
 #   SKIP_TSAN=1      skip the tsan stage (TSan doubles the wall time)
-#   SKIP_OBS=1       skip the observability stage
+#   SKIP_OBS=1       skip the observability and lock-profile stages
 #   OBS_OUT=<dir>    where the observability stage writes its artifacts
 #                    (default: build/observability; CI uploads this)
 #   SKIP_FUZZ=1      skip the sched-fuzz, dpor, and break-si stages
@@ -125,14 +114,20 @@ fi
 # per-factor routing-explain sums, a Chrome trace whose route spans
 # correlate with execute/commit spans, and metrics that reconcile exactly
 # with the run's history (si_checker --metrics).
+obs_bench() {  # obs_bench <build-dir> <extra bench flags...>
+  local dir="$1"
+  shift
+  "./$dir/bench/bench_ycsb_skew" --seconds=0.5 --warmup=0.3 --clients=8 \
+    --scale=0.1 --systems=dynamast "$@"
+}
+
 observability_stage() {
   local out="${OBS_OUT:-build/observability}"
   mkdir -p "$out"
   local m="$out/metrics.json" t="$out/trace.json" h="$out/history.txt"
   rm -f "$m" "$t" "$h"
-  if ! ./build/bench/bench_ycsb_skew --seconds=0.5 --warmup=0.3 --clients=8 \
-       --scale=0.1 --systems=dynamast \
-       --metrics-out="$m" --trace-out="$t" --history-out="$h"; then
+  if ! obs_bench build --metrics-out="$m" --trace-out="$t" \
+       --history-out="$h"; then
     echo "check.sh: observability bench run failed" >&2
     return 1
   fi
@@ -167,22 +162,62 @@ observability_stage() {
   ./build/src/tools/si_checker --system=dynamast --metrics="$m" "$h"
 }
 
+# 3b. Lock profile ----------------------------------------------------------
+# The observability run on the lock-profile preset (DYNAMAST_LOCK_PROFILE)
+# prints the measured wait/hold time per lock class. Fails unless the site
+# state lock, the one every commit takes, has a recorded hold time.
+lock_profile_stage() {
+  local out="${OBS_OUT:-build/observability}"
+  local m="$out/lock_profile_metrics.json"
+  mkdir -p "$out"
+  rm -f "$m"
+  cmake --preset lock-profile &&
+    cmake --build build-lock-profile --target bench_ycsb_skew metrics_dump \
+      -j "$JOBS" || return 1
+  obs_bench build-lock-profile --metrics-out="$m" || {
+    echo "check.sh: lock-profile bench run failed" >&2
+    return 1
+  }
+  ./build-lock-profile/src/tools/metrics_dump --family=lock_ --nonzero "$m"
+  jq -e '
+    [.metrics.metrics[] | select(.name == "lock_hold_us") | .series[]
+       | select(.labels.lock_class == "site.state") | .count] | add > 0
+  ' "$m" > /dev/null || {
+    echo "check.sh: no lock_hold_us{lock_class=site.state} samples" >&2
+    return 1
+  }
+}
+
 if [[ "${SKIP_OBS:-0}" == "1" ]]; then
   record observability SKIP "SKIP_OBS=1"
+  record lock-profile SKIP "SKIP_OBS=1"
 elif ! command -v jq >/dev/null 2>&1; then
   record observability SKIP "jq not installed"
+  record lock-profile SKIP "jq not installed"
 elif [[ ! -x build/bench/bench_ycsb_skew ]]; then
   record observability SKIP "build failed"
+  record lock-profile SKIP "build failed"
 else
-  step "observability"
-  if observability_stage; then
-    record observability PASS
-  else
-    record observability FAIL
-  fi
+  run_stage observability observability_stage
+  run_stage lock-profile lock_profile_stage
 fi
 
-# 4. Project-invariant linter ----------------------------------------------
+# 4. Ignored inputs ---------------------------------------------------------
+# A source, test or script file that .gitignore matches is present in the
+# working tree but can never be committed, so a fresh clone silently lacks
+# it. Fail on any such file.
+step "ignored-inputs"
+ignored=$(git ls-files -oi --exclude-standard -- \
+  src tests scripts bench examples perfbench)
+if [[ -z "$ignored" ]]; then
+  record ignored-inputs PASS
+else
+  echo "check.sh: files ignored by .gitignore (never committed):" >&2
+  echo "$ignored" >&2
+  record ignored-inputs FAIL "$(echo "$ignored" | wc -l) file(s)"
+fi
+
+# 5. Project-invariant linter ----------------------------------------------
 step "lint-project"
 if command -v python3 >/dev/null 2>&1; then
   if python3 scripts/dynamast-lint.py; then
@@ -193,132 +228,6 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "check.sh: python3 not found; skipping" >&2
   record lint-project SKIP "python3 not installed"
-fi
-
-# 5. Critical-section cost analyzer -----------------------------------------
-# Fixture suite, then the ratchet: the current profile must match the
-# committed CSA_BASELINE.json, and two dumps must be byte-identical. On a
-# ratchet failure the current profile lands in build/csa/ so CI can upload
-# it next to the baseline for diffing.
-csa_stage() {
-  local out="build/csa"
-  mkdir -p "$out"
-  python3 tests/csa_test/run_csa_test.py || return 1
-  python3 scripts/csa.py --check || {
-    python3 scripts/csa.py --dump > "$out/profile.json" 2>/dev/null
-    echo "check.sh: csa ratchet failed; current profile in $out/profile.json" >&2
-    return 1
-  }
-  python3 scripts/csa.py --dump > "$out/profile.json"
-  python3 scripts/csa.py --dump > "$out/profile.2.json"
-  if ! cmp -s "$out/profile.json" "$out/profile.2.json"; then
-    echo "check.sh: csa profile dump is not reproducible" >&2
-    return 1
-  fi
-  rm -f "$out/profile.2.json"
-}
-
-step "csa"
-if command -v python3 >/dev/null 2>&1; then
-  if csa_stage; then
-    record csa PASS
-  else
-    record csa FAIL
-  fi
-else
-  echo "check.sh: python3 not found; skipping" >&2
-  record csa SKIP "python3 not installed"
-fi
-
-# 5b. Hot-path cost analyzer ------------------------------------------------
-# Same shape as csa: fixture suite, ratchet against HPA_BASELINE.json,
-# double-dump reproducibility. On a ratchet failure the current profile
-# lands in build/hpa/ for diffing against the committed baseline.
-hpa_stage() {
-  local out="build/hpa"
-  mkdir -p "$out"
-  python3 tests/hpa_test/run_hpa_test.py || return 1
-  python3 scripts/hpa.py --check || {
-    python3 scripts/hpa.py --dump > "$out/profile.json" 2>/dev/null
-    echo "check.sh: hpa ratchet failed; current profile in $out/profile.json" >&2
-    return 1
-  }
-  python3 scripts/hpa.py --dump > "$out/profile.json"
-  python3 scripts/hpa.py --dump > "$out/profile.2.json"
-  if ! cmp -s "$out/profile.json" "$out/profile.2.json"; then
-    echo "check.sh: hpa profile dump is not reproducible" >&2
-    return 1
-  fi
-  rm -f "$out/profile.2.json"
-}
-
-step "hpa"
-if command -v python3 >/dev/null 2>&1; then
-  if hpa_stage; then
-    record hpa PASS
-  else
-    record hpa FAIL
-  fi
-else
-  echo "check.sh: python3 not found; skipping" >&2
-  record hpa SKIP "python3 not installed"
-fi
-
-# 5c. Atomics & memory-order analyzer ---------------------------------------
-# Same shape as csa/hpa: fixture suite, ratchet against AMA_BASELINE.json,
-# double-dump reproducibility. On a ratchet failure the current profile
-# lands in build/ama/ for diffing against the committed baseline.
-ama_stage() {
-  local out="build/ama"
-  mkdir -p "$out"
-  python3 tests/ama_test/run_ama_test.py || return 1
-  python3 scripts/ama.py --check || {
-    python3 scripts/ama.py --dump > "$out/profile.json" 2>/dev/null
-    echo "check.sh: ama ratchet failed; current profile in $out/profile.json" >&2
-    return 1
-  }
-  python3 scripts/ama.py --dump > "$out/profile.json"
-  python3 scripts/ama.py --dump > "$out/profile.2.json"
-  if ! cmp -s "$out/profile.json" "$out/profile.2.json"; then
-    echo "check.sh: ama profile dump is not reproducible" >&2
-    return 1
-  fi
-  rm -f "$out/profile.2.json"
-}
-
-step "ama"
-if command -v python3 >/dev/null 2>&1; then
-  if ama_stage; then
-    record ama PASS
-  else
-    record ama FAIL
-  fi
-else
-  echo "check.sh: python3 not found; skipping" >&2
-  record ama SKIP "python3 not installed"
-fi
-
-# 5d. Bench trend -----------------------------------------------------------
-# Ratcheted perf gate: compares the newest committed BENCH_*.json
-# trajectory point against its predecessor and FAILS on a per-series
-# throughput drop or p99 rise beyond the thresholds, unless the series
-# carries a justified waiver in BENCH_WAIVERS.json. Exit 3 means "no
-# trajectory data" and records SKIP; the trend text is kept in
-# build/bench-trend/trend.txt for diffing (CI uploads it on failure).
-step "bench-trend"
-if command -v python3 >/dev/null 2>&1; then
-  mkdir -p build/bench-trend
-  trend_note=$(python3 scripts/bench_trend.py --check 2>&1)
-  trend_status=$?
-  echo "$trend_note"
-  echo "$trend_note" > build/bench-trend/trend.txt
-  case "$trend_status" in
-    0) record bench-trend PASS "$(echo "$trend_note" | head -1)" ;;
-    3) record bench-trend SKIP "$(echo "$trend_note" | head -1)" ;;
-    *) record bench-trend FAIL "$(echo "$trend_note" | tail -1)" ;;
-  esac
-else
-  record bench-trend SKIP "python3 not installed"
 fi
 
 # 6. Clang thread-safety analysis -------------------------------------------

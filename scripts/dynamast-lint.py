@@ -21,16 +21,7 @@ because they span files or live in string literals:
   escape-justification
                   every DYNAMAST_NO_THREAD_SAFETY_ANALYSIS site carries a
                   `tsa-escape(<lock.class>): reason` comment naming a
-                  registered lock class, and every CSA_BASELINE.json
-                  allowlist entry has a justification, names a registered
-                  lock class (synthesized `raw.*` classes are exempt), and
-                  still matches an edge in the baseline (stale-entry
-                  detection for scripts/csa.py's ratchet).
-  hot-path-root   every DYNAMAST_HOT_PATH annotation in src/ has a row in
-                  DESIGN.md's hot-path-root registry table, and every
-                  registry row still corresponds to an annotated function
-                  (the reviewed root list scripts/hpa.py profiles cannot
-                  drift from the code).
+                  registered lock class.
   lock-profile-label
                   every literal `{"lock_class", "<name>"}` label passed to
                   GetCounter/GetGauge/GetHistogram names a class in
@@ -38,11 +29,6 @@ because they span files or live in string literals:
                   profiler's lock_* series stay joinable against the
                   registry table (a typo'd class would silently fork a
                   series no lock ever feeds).
-  atomic-registry every row in DESIGN.md's atomic-field registry table
-                  names a real std::atomic field in src/ (stale-row
-                  detection) and declares a role from scripts/ama.py's
-                  closed role set, so the memory-order protocol table
-                  cannot drift from the code it governs.
 
 Usage: dynamast-lint.py [--root DIR] [--rule RULE]...
 Exit status 0 when clean, 1 when violations were found, 2 on usage or
@@ -50,26 +36,18 @@ tree-shape errors. Messages: `dynamast-lint: <rule>: <file>:<line>: ...`.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 
 RULES = ("lock-class", "sched-op", "history-pairing", "metric-naming",
-         "escape-justification", "hot-path-root", "lock-profile-label",
-         "atomic-registry")
+         "escape-justification", "lock-profile-label")
 
 SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 LOCK_CLASS_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 
 REGISTRY_BEGIN = "<!-- lock-class-registry:begin -->"
 REGISTRY_END = "<!-- lock-class-registry:end -->"
-
-HOT_PATH_REGISTRY_BEGIN = "<!-- hot-path-root-registry:begin -->"
-HOT_PATH_REGISTRY_END = "<!-- hot-path-root-registry:end -->"
-
-ATOMIC_REGISTRY_BEGIN = "<!-- atomic-field-registry:begin -->"
-ATOMIC_REGISTRY_END = "<!-- atomic-field-registry:end -->"
 
 # `mutable DebugMutex mu_{"site.state"};`, `DebugSharedMutex mu{"x.y"};`
 MUTEX_DECL_RE = re.compile(
@@ -268,90 +246,6 @@ class Linter:
                             "file references history EventKind::kAbort but "
                             "never EventKind::kCommit (unpaired emission)")
 
-    # ------------------------------------------------------ hot-path-root
-
-    def rule_hot_path_root(self):
-        """DESIGN.md's hot-path-root registry == the annotated roots."""
-        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-        import cpp_model  # shared lexical front end (also used by hpa)
-
-        design = os.path.join(self.root, "DESIGN.md")
-        rows = {}
-        begin_line = 1
-        if os.path.exists(design):
-            text = self.read(design)
-            begin = text.find(HOT_PATH_REGISTRY_BEGIN)
-            end = text.find(HOT_PATH_REGISTRY_END)
-            if 0 <= begin < end:
-                begin_line = self.line_of(text, begin)
-                for i, row in enumerate(text[begin:end].splitlines()):
-                    m = re.match(r"\|\s*`([^`]+)`\s*\|", row)
-                    if m:
-                        rows[m.group(1)] = begin_line + i
-
-        project = cpp_model.load_project(self.root, tool="dynamast-lint")
-        discovered = {}
-        for info in project.funcs.values():
-            if info.hot_path:
-                discovered[cpp_model.strip_root(info.qual)] = info
-
-        for name in sorted(set(discovered) - set(rows)):
-            info = discovered[name]
-            self.report(
-                "hot-path-root", os.path.join(self.root, info.file),
-                info.line,
-                f"`{name}` is annotated DYNAMAST_HOT_PATH but has no row "
-                "in the DESIGN.md hot-path-root registry table (every "
-                "profiled root must be reviewed and documented there)")
-        for name in sorted(set(rows) - set(discovered)):
-            self.report(
-                "hot-path-root", design, rows[name],
-                f"registry row `{name}` matches no DYNAMAST_HOT_PATH "
-                "annotation in src/ (stale entry: the root was removed or "
-                "renamed; update the table)")
-
-    # ---------------------------------------------------- atomic-registry
-
-    def rule_atomic_registry(self):
-        """DESIGN.md's atomic-field registry rows are real and well-roled."""
-        design = os.path.join(self.root, "DESIGN.md")
-        if not os.path.exists(design):
-            return  # trees without a DESIGN.md have nothing to check
-        text = self.read(design)
-        begin = text.find(ATOMIC_REGISTRY_BEGIN)
-        end = text.find(ATOMIC_REGISTRY_END)
-        if not 0 <= begin < end:
-            return  # no atomic-field registry in this tree
-
-        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-        import ama  # shared role set + atomic discovery
-        import cpp_model
-
-        rows = {}
-        begin_line = self.line_of(text, begin)
-        for i, row in enumerate(text[begin:end].splitlines()):
-            m = re.match(r"\|\s*`([^`]+)`\s*\|\s*([^|]+?)\s*\|", row)
-            if m:
-                rows[m.group(1)] = (m.group(2).strip("`"), begin_line + i)
-
-        for fid in sorted(rows):
-            role, line = rows[fid]
-            if role not in ama.ROLES:
-                self.report(
-                    "atomic-registry", design, line,
-                    f"registry row `{fid}` declares role `{role}`, which "
-                    "is not in the closed role set "
-                    f"({', '.join(ama.ROLES)})")
-
-        project = cpp_model.load_project(self.root, tool="dynamast-lint")
-        fields = {f.fid for f in ama.discover_atomics(project)}
-        for fid in sorted(set(rows) - fields):
-            self.report(
-                "atomic-registry", design, rows[fid][1],
-                f"registry row `{fid}` matches no atomic field in src/ "
-                "(stale entry: the field was removed or renamed; update "
-                "the table)")
-
     # ------------------------------------------------------- metric-naming
 
     @staticmethod
@@ -420,10 +314,6 @@ class Linter:
 
     def rule_escape_justification(self):
         registry = self.parse_registry()
-        self._check_escape_sites(registry)
-        self._check_csa_allowlist(registry)
-
-    def _check_escape_sites(self, registry):
         for path in self.src_files():
             if os.path.basename(path) == "thread_annotations.h":
                 continue  # the macro's definition and documentation
@@ -464,38 +354,6 @@ class Linter:
                         "escape-justification", path, line,
                         "tsa-escape marker has an empty reason")
 
-    def _check_csa_allowlist(self, registry):
-        baseline = os.path.join(self.root, "CSA_BASELINE.json")
-        if not os.path.exists(baseline):
-            return  # tree predates the csa ratchet (or fixture without it)
-        try:
-            doc = json.loads(self.read(baseline))
-        except ValueError as e:
-            self.report("escape-justification", baseline, 1,
-                        f"CSA_BASELINE.json is not valid JSON: {e}")
-            return
-        edges = doc.get("edges", [])
-        for i, entry in enumerate(doc.get("allowlist", [])):
-            cls = entry.get("lock_class", "")
-            op = entry.get("op", "")
-            where = f"allowlist[{i}] ({cls} / {op})"
-            if not str(entry.get("justification", "")).strip():
-                self.report("escape-justification", baseline, 1,
-                            f"{where} has no justification")
-            if registry and cls not in registry \
-                    and not cls.startswith("raw."):
-                self.report("escape-justification", baseline, 1,
-                            f'{where} names lock class "{cls}", which is '
-                            "not in the DESIGN.md lock-class registry")
-            fn = entry.get("function")
-            if not any(e.get("lock_class") == cls and e.get("op") == op
-                       and (fn is None or e.get("function") == fn)
-                       for e in edges):
-                self.report("escape-justification", baseline, 1,
-                            f"{where} matches no edge in the baseline "
-                            "(stale entry: the critical section no longer "
-                            "performs this operation; delete it)")
-
 
 def main():
     parser = argparse.ArgumentParser(
@@ -524,9 +382,7 @@ def main():
         "history-pairing": linter.rule_history_pairing,
         "metric-naming": linter.rule_metric_naming,
         "escape-justification": linter.rule_escape_justification,
-        "hot-path-root": linter.rule_hot_path_root,
         "lock-profile-label": linter.rule_lock_profile_label,
-        "atomic-registry": linter.rule_atomic_registry,
     }
     for rule in rules:
         dispatch[rule]()

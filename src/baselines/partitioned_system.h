@@ -80,10 +80,9 @@ class PartitionedSystem final : public core::SystemInterface {
   Status LoadRow(const RecordKey& key, std::string value) override;
   Status LoadReplicatedRow(const RecordKey& key, std::string value) override;
   void Seal() override;
-  DYNAMAST_HOT_PATH Status Execute(core::ClientState& client,
-                                   const core::TxnProfile& profile,
-                                   const core::TxnLogic& logic,
-                                   core::TxnResult* result) override;
+  Status Execute(core::ClientState& client, const core::TxnProfile& profile,
+                 const core::TxnLogic& logic,
+                 core::TxnResult* result) override;
   void Shutdown() override;
   history::Recorder* history() override { return cluster_.history(); }
   trace::Tracer* tracer() override { return cluster_.tracer(); }

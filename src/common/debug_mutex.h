@@ -384,7 +384,7 @@ class BasicDebugCondVar {
 #endif
   }
 
-  DYNAMAST_BLOCKING void wait(MutexT& mu) DYNAMAST_REQUIRES(mu) {
+  void wait(MutexT& mu) DYNAMAST_REQUIRES(mu) {
 #if DYNAMAST_SCHED_FUZZ_ENABLED
     if (sched::CvRedirectArmed()) {
       (void)ArmedWait(mu, std::chrono::steady_clock::time_point::max());
@@ -396,12 +396,12 @@ class BasicDebugCondVar {
   }
 
   template <class Pred>
-  DYNAMAST_BLOCKING void wait(MutexT& mu, Pred pred) DYNAMAST_REQUIRES(mu) {
+  void wait(MutexT& mu, Pred pred) DYNAMAST_REQUIRES(mu) {
     while (!pred()) wait(mu);
   }
 
   template <class Clock, class Duration>
-  DYNAMAST_BLOCKING std::cv_status wait_until(
+  std::cv_status wait_until(
       MutexT& mu, const std::chrono::time_point<Clock, Duration>& deadline)
       DYNAMAST_REQUIRES(mu) {
 #if DYNAMAST_SCHED_FUZZ_ENABLED
@@ -412,7 +412,7 @@ class BasicDebugCondVar {
   }
 
   template <class Clock, class Duration, class Pred>
-  DYNAMAST_BLOCKING bool wait_until(
+  bool wait_until(
       MutexT& mu, const std::chrono::time_point<Clock, Duration>& deadline,
       Pred pred) DYNAMAST_REQUIRES(mu) {
     while (!pred()) {
@@ -422,7 +422,7 @@ class BasicDebugCondVar {
   }
 
   template <class Rep, class Period>
-  DYNAMAST_BLOCKING std::cv_status wait_for(
+  std::cv_status wait_for(
       MutexT& mu, const std::chrono::duration<Rep, Period>& rel)
       DYNAMAST_REQUIRES(mu) {
 #if DYNAMAST_SCHED_FUZZ_ENABLED

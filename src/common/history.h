@@ -95,7 +95,7 @@ class Recorder {
 
   /// Assigns the event its global sequence and appends it. Safe to call
   /// while holding a site's state mutex (the recorder mutex is a leaf).
-  DYNAMAST_BLOCKING void Record(HistoryEvent event) DYNAMAST_EXCLUDES(mu_);
+  void Record(HistoryEvent event) DYNAMAST_EXCLUDES(mu_);
 
   size_t size() const DYNAMAST_EXCLUDES(mu_);
   std::vector<HistoryEvent> Snapshot() const DYNAMAST_EXCLUDES(mu_);

@@ -7,6 +7,7 @@
 namespace dynamast::invariants {
 
 namespace {
+// Function pointer set by tests: release store / acquire load.
 std::atomic<FailureHandler> g_handler{nullptr};
 }  // namespace
 

@@ -18,16 +18,15 @@ class LatencyRecorder {
   LatencyRecorder();
 
   /// Records one latency observation, in microseconds.
-  DYNAMAST_EXPENSIVE void Record(uint64_t micros) DYNAMAST_EXCLUDES(mu_);
+  void Record(uint64_t micros) DYNAMAST_EXCLUDES(mu_);
 
-  DYNAMAST_EXPENSIVE void RecordDuration(std::chrono::nanoseconds d) {
+  void RecordDuration(std::chrono::nanoseconds d) {
     Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count()));
   }
 
   /// Merges another recorder's observations into this one.
-  DYNAMAST_EXPENSIVE void Merge(const LatencyRecorder& other)
-      DYNAMAST_EXCLUDES(mu_);
+  void Merge(const LatencyRecorder& other) DYNAMAST_EXCLUDES(mu_);
 
   uint64_t count() const DYNAMAST_EXCLUDES(mu_);
   double MeanMicros() const DYNAMAST_EXCLUDES(mu_);

@@ -55,8 +55,7 @@ class Counter {
  private:
   static constexpr size_t kNumShards = 16;
   struct alignas(64) Shard {
-    // Role `stat-counter` in the DESIGN.md atomic-field registry: every
-    // operation is relaxed; nothing synchronizes on a tally.
+    // Every operation is relaxed: nothing synchronizes on a tally.
     std::atomic<uint64_t> value{0};
   };
   // Each thread hashes to a fixed shard (assigned round-robin on first
@@ -82,7 +81,8 @@ class Gauge {
  private:
   static uint64_t ToBits(double v);
   static double FromBits(uint64_t bits);
-  // Role `stat-counter` (AMA registry): last-value bits, relaxed-only.
+  // Last-value bits; the CAS loop is value-only, so every operation is
+  // relaxed.
   std::atomic<uint64_t> bits_{0};
 };
 
@@ -91,8 +91,8 @@ class Gauge {
 /// distribution works — e.g. version-chain lengths).
 class Histogram {
  public:
-  DYNAMAST_EXPENSIVE void Observe(uint64_t value) { recorder_.Record(value); }
-  DYNAMAST_EXPENSIVE void ObserveDuration(std::chrono::nanoseconds d) {
+  void Observe(uint64_t value) { recorder_.Record(value); }
+  void ObserveDuration(std::chrono::nanoseconds d) {
     recorder_.RecordDuration(d);
   }
   const LatencyRecorder& recorder() const { return recorder_; }
@@ -127,14 +127,11 @@ class Registry {
   /// A name registered with a different metric type, or a family past its
   /// cardinality cap, yields a detached scrap metric (never exported) so
   /// callers need no error handling.
-  DYNAMAST_EXPENSIVE Counter* GetCounter(const std::string& name,
-                                         const Labels& labels = {})
+  Counter* GetCounter(const std::string& name, const Labels& labels = {})
       DYNAMAST_EXCLUDES(mu_);
-  DYNAMAST_EXPENSIVE Gauge* GetGauge(const std::string& name,
-                                     const Labels& labels = {})
+  Gauge* GetGauge(const std::string& name, const Labels& labels = {})
       DYNAMAST_EXCLUDES(mu_);
-  DYNAMAST_EXPENSIVE Histogram* GetHistogram(const std::string& name,
-                                             const Labels& labels = {})
+  Histogram* GetHistogram(const std::string& name, const Labels& labels = {})
       DYNAMAST_EXCLUDES(mu_);
 
   /// Zeroes every value while keeping all families/series (and therefore
@@ -167,8 +164,7 @@ class Registry {
 
   /// Samples every series in deterministic (family, label-key) order.
   /// Timeline-sampler cadence, not the hot path.
-  DYNAMAST_EXPENSIVE std::vector<SampledValue> SampleValues() const
-      DYNAMAST_EXCLUDES(mu_);
+  std::vector<SampledValue> SampleValues() const DYNAMAST_EXCLUDES(mu_);
 
   /// {"metrics":[{"name":...,"type":"counter","series":[{"labels":{...},
   /// "value":N},...]},...]}. Histogram series carry count/mean/p50/p90/

@@ -75,8 +75,11 @@ struct Ownership {
 
 struct Engine {
   // Fast-path state (read on every op without taking mu).
+  // The release store of `mode` publishes all Start*/Enable config.
   std::atomic<uint8_t> mode{0};
+  // Relaxed: published by the release store of `mode`.
   std::atomic<bool> fuzz_layer{false};
+  // `seed` and `epoch` are read for RNG mixing only (relaxed).
   std::atomic<uint64_t> seed{0};
   std::atomic<uint64_t> epoch{1};
   std::atomic<uint64_t> next_thread_token{0};

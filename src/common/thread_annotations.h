@@ -86,49 +86,4 @@
 #define DYNAMAST_NO_THREAD_SAFETY_ANALYSIS \
   DYNAMAST_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
-/// Cost attributes for the critical-section cost analyzer
-/// (scripts/csa.py; see DESIGN.md, "Critical-section cost analysis").
-///
-/// DYNAMAST_BLOCKING marks a function that can suspend the calling thread
-/// for an unbounded or scheduling-dependent time: network sends, durable
-/// log appends, condition-variable waits, lock-manager acquisition,
-/// admission throttling, deliberate sleeps. DYNAMAST_EXPENSIVE marks a
-/// function that is CPU- or allocation-heavy relative to a critical
-/// section (histogram/latency recording, trace emission, record
-/// serialization, registry lookups that take a global lock).
-///
-/// The analyzer treats every call to an annotated function that is
-/// transitively reachable while a lock class is held as a profile edge in
-/// CSA_BASELINE.json; new edges fail the `csa` stage of check.sh unless
-/// allowlisted with a justification. Under clang the macros emit an
-/// `annotate` attribute so AST-based tooling can see them too; everywhere
-/// else they compile to nothing.
-#define DYNAMAST_BLOCKING DYNAMAST_THREAD_ANNOTATION_(annotate("dynamast_blocking"))
-#define DYNAMAST_EXPENSIVE \
-  DYNAMAST_THREAD_ANNOTATION_(annotate("dynamast_expensive"))
-
-/// DYNAMAST_HOT_PATH marks a function as a transaction-critical-path root
-/// for the hot-path cost analyzer (scripts/hpa.py; see DESIGN.md,
-/// "Hot-path cost analysis"). Everything reachable from a root is profiled
-/// for allocations, wide-type copies, string formatting, and tracked-lock
-/// acquisitions; the profile is ratcheted in HPA_BASELINE.json. The
-/// DESIGN.md hot-path-root registry table must list exactly the annotated
-/// roots (dynamast-lint rule 7).
-#define DYNAMAST_HOT_PATH \
-  DYNAMAST_THREAD_ANNOTATION_(annotate("dynamast_hot_path"))
-
-/// DYNAMAST_EPOCH_PROTECTED() opens an epoch-protected region for the
-/// atomics & memory-order analyzer (scripts/ama.py; see DESIGN.md,
-/// "Atomics & memory-order analysis"): from the macro to the end of the
-/// enclosing block, loads of `publication`-role atomic fields (pointer
-/// handoffs whose pointee a reclaimer could free) are considered safe
-/// because reclamation is deferred. Today's publication fields point at
-/// never-freed objects and are allowlisted instead; the lock-free
-/// storage arc (ROADMAP) will make this the required spelling around
-/// epoch-guarded reads. Statement-style no-op at runtime - it exists so
-/// the static pass can see the region boundaries.
-#define DYNAMAST_EPOCH_PROTECTED() \
-  do {                             \
-  } while (0)
-
 #endif  // DYNAMAST_COMMON_THREAD_ANNOTATIONS_H_

@@ -47,7 +47,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  DYNAMAST_EXPENSIVE void Record(TraceEvent event) DYNAMAST_EXCLUDES(mu_);
+  void Record(TraceEvent event) DYNAMAST_EXCLUDES(mu_);
 
   /// Ring contents in record order (oldest first).
   std::vector<TraceEvent> Snapshot() const DYNAMAST_EXCLUDES(mu_);

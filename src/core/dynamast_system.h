@@ -73,10 +73,8 @@ class DynaMastSystem final : public SystemInterface {
   Status CreateTable(TableId id) override { return cluster_.CreateTable(id); }
   Status LoadRow(const RecordKey& key, std::string value) override;
   void Seal() override;
-  DYNAMAST_HOT_PATH Status Execute(ClientState& client,
-                                   const TxnProfile& profile,
-                                   const TxnLogic& logic,
-                                   TxnResult* result) override;
+  Status Execute(ClientState& client, const TxnProfile& profile,
+                 const TxnLogic& logic, TxnResult* result) override;
   void Shutdown() override;
   history::Recorder* history() override { return cluster_.history(); }
   trace::Tracer* tracer() override { return cluster_.tracer(); }
@@ -88,10 +86,8 @@ class DynaMastSystem final : public SystemInterface {
  private:
   Status ExecuteWrite(ClientState& client, const TxnProfile& profile,
                       const TxnLogic& logic, TxnResult* result);
-  DYNAMAST_HOT_PATH Status ExecuteRead(ClientState& client,
-                                       const TxnProfile& profile,
-                                       const TxnLogic& logic,
-                                       TxnResult* result);
+  Status ExecuteRead(ClientState& client, const TxnProfile& profile,
+                     const TxnLogic& logic, TxnResult* result);
 
   Options options_;
   const Partitioner* partitioner_;

@@ -35,8 +35,7 @@ class DurableLog {
   DurableLog& operator=(const DurableLog&) = delete;
 
   /// Appends a record and returns its offset (0-based, dense).
-  DYNAMAST_BLOCKING uint64_t Append(std::string serialized)
-      DYNAMAST_EXCLUDES(mu_);
+  uint64_t Append(std::string serialized) DYNAMAST_EXCLUDES(mu_);
 
   /// Number of records appended so far.
   uint64_t Size() const DYNAMAST_EXCLUDES(mu_);
@@ -44,9 +43,8 @@ class DurableLog {
   /// Reads the record at `offset`, blocking until it exists or `deadline`
   /// passes (TimedOut), or the log is closed (Unavailable) with no record
   /// at that offset.
-  DYNAMAST_BLOCKING Status Read(
-      uint64_t offset, std::string* out,
-      std::chrono::steady_clock::time_point deadline) const
+  Status Read(uint64_t offset, std::string* out,
+              std::chrono::steady_clock::time_point deadline) const
       DYNAMAST_EXCLUDES(mu_);
 
   /// Non-blocking read; NotFound if the offset has not been written.
@@ -81,7 +79,10 @@ class DurableLog {
   mutable DebugCondVar cv_;
   std::vector<std::string> entries_ DYNAMAST_GUARDED_BY(mu_);
   bool closed_ DYNAMAST_GUARDED_BY(mu_) = false;
+  // Installed once at cluster construction and never freed, so a
+  // release store / acquire load is the whole publication protocol.
   std::atomic<metrics::Histogram*> append_latency_{nullptr};
+  // acq_rel decrement: the append that hits zero must see prior appends.
   std::shared_ptr<std::atomic<int64_t>> crash_countdown_
       DYNAMAST_GUARDED_BY(mu_);
   // Scheduler identity of this topic's append decision stream.

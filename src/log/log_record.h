@@ -57,12 +57,11 @@ struct LogRecord {
   /// Serializes to a compact binary representation (length-prefixed).
   /// The byte size of the encoding is what the network simulator charges
   /// for propagation traffic.
-  DYNAMAST_EXPENSIVE std::string Serialize() const;
+  std::string Serialize() const;
 
   /// Parses a record serialized by Serialize(). Returns Corruption on any
   /// malformed input (truncation, bad type, overlong fields).
-  DYNAMAST_EXPENSIVE static Status Deserialize(std::string_view data,
-                                               LogRecord* out);
+  static Status Deserialize(std::string_view data, LogRecord* out);
 
   size_t SerializedSize() const;
 

@@ -62,13 +62,11 @@ class SimulatedNetwork {
 
   /// Charges the cost of sending one message of `bytes` payload and blocks
   /// the caller for the simulated delivery time.
-  DYNAMAST_BLOCKING void Send(TrafficClass c, size_t bytes)
-      DYNAMAST_EXCLUDES(link_mu_);
+  void Send(TrafficClass c, size_t bytes) DYNAMAST_EXCLUDES(link_mu_);
 
   /// A full round trip: request of `request_bytes` plus response of
   /// `response_bytes`.
-  DYNAMAST_BLOCKING void RoundTrip(TrafficClass c, size_t request_bytes,
-                                   size_t response_bytes);
+  void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes);
 
   uint64_t MessageCount(TrafficClass c) const;
   uint64_t ByteCount(TrafficClass c) const;

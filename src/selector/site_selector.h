@@ -122,16 +122,15 @@ class SiteSelector {
 
   /// Routes by pre-computed partition set (callers that know partitions
   /// without keys, e.g. LEAP-style localization declarations).
-  DYNAMAST_HOT_PATH Status
-  RouteWritePartitions(ClientId client, std::vector<PartitionId> partitions,
-                       const VersionVector& client_session,
-                       RouteResult* out);
+  Status RouteWritePartitions(ClientId client,
+                              std::vector<PartitionId> partitions,
+                              const VersionVector& client_session,
+                              RouteResult* out);
 
   /// Routes a read-only transaction to a random session-fresh site
   /// (Section IV-B).
-  DYNAMAST_HOT_PATH Status
-  RouteRead(ClientId client, const VersionVector& client_session,
-            SiteId* out_site) DYNAMAST_EXCLUDES(rng_mu_);
+  Status RouteRead(ClientId client, const VersionVector& client_session,
+                   SiteId* out_site) DYNAMAST_EXCLUDES(rng_mu_);
 
   PartitionMap& partition_map() { return map_; }
   AccessStatistics& statistics() { return *stats_; }

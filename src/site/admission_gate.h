@@ -22,7 +22,7 @@ class AdmissionGate {
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
   /// Blocks until a slot is free, then occupies it.
-  DYNAMAST_BLOCKING void Enter() DYNAMAST_EXCLUDES(mu_);
+  void Enter() DYNAMAST_EXCLUDES(mu_);
 
   /// Frees a slot.
   void Exit() DYNAMAST_EXCLUDES(mu_);

@@ -105,8 +105,7 @@ class SiteManager {
   /// staged writes, appends the redo/propagation record to this site's
   /// log topic, advances svv, and releases locks. Returns the commit
   /// timestamp (transaction version vector) in `commit_version`.
-  DYNAMAST_HOT_PATH Status Commit(Transaction* txn,
-                                  VersionVector* commit_version)
+  Status Commit(Transaction* txn, VersionVector* commit_version)
       DYNAMAST_EXCLUDES(state_mu_);
 
   /// Drops staged writes and releases locks. `reason` feeds the
@@ -120,13 +119,13 @@ class SiteManager {
   /// `writes` write operations. Call while holding a gate slot. Callers
   /// batch charges (see core::SiteTxnContext) so sleep-granularity
   /// overshoot does not accumulate per operation.
-  DYNAMAST_BLOCKING void ChargeOps(size_t reads, size_t writes) const;
+  void ChargeOps(size_t reads, size_t writes) const;
 
   /// Sleeps for an explicit duration of simulated site work.
-  DYNAMAST_BLOCKING void ChargeDuration(std::chrono::nanoseconds d) const;
+  void ChargeDuration(std::chrono::nanoseconds d) const;
 
   /// Blocks until svv dominates `min`, or the freshness timeout expires.
-  DYNAMAST_BLOCKING Status WaitForVersion(const VersionVector& min) const
+  Status WaitForVersion(const VersionVector& min) const
       DYNAMAST_EXCLUDES(state_mu_);
 
   // ---- Mastership / remastering (Algorithm 1 server side) -------------
@@ -180,8 +179,7 @@ class SiteManager {
   // Takes the record by value: the applier is done with it afterwards, so
   // the write values move straight into the version store. Returns false
   // if shutting down.
-  DYNAMAST_HOT_PATH bool ApplyRefreshRecord(log::LogRecord record)
-      DYNAMAST_EXCLUDES(state_mu_);
+  bool ApplyRefreshRecord(log::LogRecord record) DYNAMAST_EXCLUDES(state_mu_);
 
   // Refresh applier main loop for one origin topic.
   void ApplierLoop(SiteId origin);
@@ -268,7 +266,9 @@ class SiteManager {
   std::unordered_map<PartitionId, uint32_t> active_writers_
       DYNAMAST_GUARDED_BY(state_mu_);
 
+  // Relaxed: ids need uniqueness only, no ordering.
   std::atomic<storage::TxnId> next_txn_id_{1};
+  // Stop's acq_rel exchange pairs with the workers' acquire loads.
   std::atomic<bool> stopping_{false};
   bool started_ = false;
   std::vector<std::thread> appliers_;

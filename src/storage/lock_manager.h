@@ -36,15 +36,13 @@ class LockManager {
 
   /// Acquires the write lock on `key` for `txn`, waiting until `deadline`.
   /// Re-entrant: succeeds immediately if `txn` already holds the lock.
-  DYNAMAST_BLOCKING Status Acquire(
-      const RecordKey& key, TxnId txn,
-      std::chrono::steady_clock::time_point deadline);
+  Status Acquire(const RecordKey& key, TxnId txn,
+                 std::chrono::steady_clock::time_point deadline);
 
   /// Acquires every key in `keys` in sorted order (deduplicated). On
   /// timeout, releases everything it acquired and returns TimedOut.
-  DYNAMAST_BLOCKING Status AcquireAll(
-      std::vector<RecordKey> keys, TxnId txn,
-      std::chrono::steady_clock::time_point deadline);
+  Status AcquireAll(std::vector<RecordKey> keys, TxnId txn,
+                    std::chrono::steady_clock::time_point deadline);
 
   /// Releases one lock; no-op if `txn` does not hold it.
   void Release(const RecordKey& key, TxnId txn);

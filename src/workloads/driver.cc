@@ -45,6 +45,7 @@ Driver::Report Driver::Run(core::SystemInterface& system, Workload& workload) {
                 options_.timeline_resolution) +
                 1
           : 0;
+  // Relaxed tallies: read only after the client threads are joined.
   std::vector<std::atomic<uint64_t>> timeline(timeline_buckets);
 
   std::atomic<bool> stop{false};

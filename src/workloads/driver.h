@@ -80,8 +80,7 @@ class Driver {
   /// Runs the workload against the system (already loaded and sealed).
   /// Blocks the caller for the full run duration (client threads sleep out
   /// their pacing and the controller sleeps until the end of the run).
-  DYNAMAST_BLOCKING DYNAMAST_HOT_PATH Report
-  Run(core::SystemInterface& system, Workload& workload);
+  Report Run(core::SystemInterface& system, Workload& workload);
 
  private:
   Options options_;

@@ -202,24 +202,31 @@ TEST(LatencyRecorderTest, MergeCombines) {
 // concurrent cross-merges can never hold the two locks together. This
 // must terminate — and deadlock here hangs the test runner, which the
 // ctest timeout turns into a failure.
+//
+// A merge can at most double the larger count, so 2 x 28 merges keep it
+// below 50 * 2^56 < 2^64 and the count cannot wrap. Repeating on fresh
+// recorders keeps the total race volume.
 TEST(LatencyRecorderTest, ConcurrentCrossMergeTerminates) {
-  LatencyRecorder a, b;
-  for (int i = 0; i < 50; ++i) {
-    a.Record(10);
-    b.Record(20);
+  constexpr int kMergesPerThread = 28;
+  for (int round = 0; round < 100; ++round) {
+    LatencyRecorder a, b;
+    for (int i = 0; i < 50; ++i) {
+      a.Record(10);
+      b.Record(20);
+    }
+    std::thread ta([&] {
+      for (int i = 0; i < kMergesPerThread; ++i) a.Merge(b);
+    });
+    std::thread tb([&] {
+      for (int i = 0; i < kMergesPerThread; ++i) b.Merge(a);
+    });
+    ta.join();
+    tb.join();
+    ASSERT_GE(a.count(), 100u);  // own 50 + at least one merge of b
+    ASSERT_GE(b.count(), 100u);
+    ASSERT_EQ(a.MaxMicros(), 20u);
+    ASSERT_EQ(b.MaxMicros(), 20u);
   }
-  std::thread ta([&] {
-    for (int i = 0; i < 2000; ++i) a.Merge(b);
-  });
-  std::thread tb([&] {
-    for (int i = 0; i < 2000; ++i) b.Merge(a);
-  });
-  ta.join();
-  tb.join();
-  EXPECT_GE(a.count(), 100u);  // own 50 + at least one merge of b
-  EXPECT_GE(b.count(), 100u);
-  EXPECT_EQ(a.MaxMicros(), 20u);
-  EXPECT_EQ(b.MaxMicros(), 20u);
 }
 
 TEST(LatencyRecorderTest, MergeWithSelfIsNoop) {

@@ -87,31 +87,15 @@ def main():
           ),
           forbid=("fine_latency_us",))
 
-    check("escape-justification: sites + allowlist", "escape_bad",
+    check("escape-justification: three bad markers", "escape_bad",
           ("escape-justification",), want_exit=1,
           want_substrings=(
               "escape-justification: src/site/bad.cc:6: "
               "NO_THREAD_SAFETY_ANALYSIS without a",
               'src/site/bad.cc:18: tsa-escape names lock class "site.ghost"',
               "src/site/bad.cc:30: tsa-escape marker has an empty reason",
-              "allowlist[1] (site.state / builtin.alloc.new) has no "
-              "justification",
-              'allowlist[2] (site.ghost / builtin.sleep) names lock class '
-              '"site.ghost"',
-              "allowlist[3] (site.state / blocking:Nothing) matches no edge",
           ),
-          forbid=("bad.cc:43", "allowlist[0]"))
-
-    check("hot-path-root: unlisted annotation + stale row", "hot_path_bad",
-          ("hot-path-root",), want_exit=1,
-          want_substrings=(
-              "hot-path-root: src/engine/engine.cc:5: "
-              "`engine::Engine::Execute` is annotated DYNAMAST_HOT_PATH "
-              "but has no row",
-              "hot-path-root: DESIGN.md:9: registry row "
-              "`engine::Engine::Ghost` matches no DYNAMAST_HOT_PATH "
-              "annotation",
-          ))
+          forbid=("bad.cc:43",))
 
     check("lock-profile-label: unregistered class in lock_class label",
           "lock_profile_bad", ("lock-profile-label",), want_exit=1,
@@ -120,18 +104,6 @@ def main():
               'lock_class label "site.ghost"',
           ),
           forbid=('"site.state"',))
-
-    check("atomic-registry: bad role + stale row", "atomic_bad",
-          ("atomic-registry",), want_exit=1,
-          want_substrings=(
-              "atomic-registry: DESIGN.md:10: registry row "
-              "`core::Counters::hits` declares role `tally`, which is "
-              "not in the closed role set "
-              "(stat-counter, flag, seqno, publication)",
-              "atomic-registry: DESIGN.md:11: registry row "
-              "`core::Counters::ghost_` matches no atomic field in src/ "
-              "(stale entry",
-          ))
 
     # Each bad fixture is bad in exactly one rule: the others stay quiet.
     check("lock_class_bad is clean for metric-naming", "lock_class_bad",
