@@ -32,8 +32,9 @@
 #                deterministically-replaying reproducer (BreakSiDporTest)
 #   observability  short bench run with --metrics-out/--trace-out/
 #                --history-out; jq-validates the JSON schemas (remaster
-#                counts, refresh-delay histogram, routing-explain factor
-#                sums, correlated trace spans) and reconciles metrics
+#                counts, refresh-delay and sleep-overshoot histograms,
+#                routing-explain factor sums, correlated trace spans),
+#                prints the sim_ families and reconciles metrics
 #                against the history via si_checker --metrics
 #   lock-profile the same short run on the lock-profile preset; prints
 #                every lock_* series and fails unless site.state has a
@@ -139,6 +140,8 @@ observability_stage() {
        | .series[].value] | add > 0) and
     ([.metrics.metrics[] | select(.name == "site_refresh_delay_us")
        | .series[].count] | add > 0) and
+    ([.metrics.metrics[] | select(.name == "sim_sleep_overshoot_us")
+       | .series[].count] | add > 0) and
     ([.metrics.metrics[] | select(.name == "routing_explain_factor_sum")
        | .series[].labels.factor] | sort
        == ["balance", "delay", "inter", "intra"])
@@ -146,6 +149,8 @@ observability_stage() {
     echo "check.sh: metrics JSON failed schema validation" >&2
     return 1
   }
+  # Sleep fidelity of the simulated cost model (common/sim_clock).
+  ./build/src/tools/metrics_dump --family=sim_ --nonzero "$m"
   # Trace schema: a remastered transaction's route span must correlate
   # (via the txn arg) with execute and commit spans.
   jq -e '

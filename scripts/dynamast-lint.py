@@ -29,6 +29,11 @@ because they span files or live in string literals:
                   profiler's lock_* series stay joinable against the
                   registry table (a typo'd class would silently fork a
                   series no lock ever feeds).
+  raw-sleep       no std::this_thread::sleep_for / sleep_until in
+                  src/{core,baselines,site,net,selector}: simulated cost
+                  is paid through common/sim_clock (sim::Charge /
+                  SimClock::Settle), the one place that carries sleep
+                  overshoot and observes it.
 
 Usage: dynamast-lint.py [--root DIR] [--rule RULE]...
 Exit status 0 when clean, 1 when violations were found, 2 on usage or
@@ -41,7 +46,7 @@ import re
 import sys
 
 RULES = ("lock-class", "sched-op", "history-pairing", "metric-naming",
-         "escape-justification", "lock-profile-label")
+         "escape-justification", "lock-profile-label", "raw-sleep")
 
 SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 LOCK_CLASS_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
@@ -66,6 +71,10 @@ ESCAPE_RE = re.compile(r"\bDYNAMAST_NO_THREAD_SAFETY_ANALYSIS\b")
 ESCAPE_MARKER_RE = re.compile(r"tsa-escape\(([^()]*)\):\s*(\S.*)?")
 # Lines of comment context searched above an escape site for its marker.
 ESCAPE_WINDOW = 8
+
+RAW_SLEEP_RE = re.compile(r"\bthis_thread\s*::\s*sleep_(?:for|until)\b")
+# src/ subdirectories whose simulated costs must go through the sim clock.
+RAW_SLEEP_DIRS = ("core", "baselines", "site", "net", "selector")
 
 
 class Linter:
@@ -354,6 +363,23 @@ class Linter:
                         "escape-justification", path, line,
                         "tsa-escape marker has an empty reason")
 
+    # ---------------------------------------------------------- raw-sleep
+
+    def rule_raw_sleep(self):
+        src = os.path.join(self.root, "src")
+        for path in self.src_files():
+            top = os.path.relpath(path, src).split(os.sep)[0]
+            if top not in RAW_SLEEP_DIRS:
+                continue
+            for i, line in enumerate(self.read(path).splitlines(), 1):
+                code = line.split("//", 1)[0]
+                if RAW_SLEEP_RE.search(code):
+                    self.report(
+                        "raw-sleep", path, i,
+                        "raw this_thread sleep; charge simulated cost with "
+                        "sim::Charge and sleep through SimClock::Settle "
+                        "(common/sim_clock.h), which carries overshoot")
+
 
 def main():
     parser = argparse.ArgumentParser(
@@ -383,6 +409,7 @@ def main():
         "metric-naming": linter.rule_metric_naming,
         "escape-justification": linter.rule_escape_justification,
         "lock-profile-label": linter.rule_lock_profile_label,
+        "raw-sleep": linter.rule_raw_sleep,
     }
     for rule in rules:
         dispatch[rule]()

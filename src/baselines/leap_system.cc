@@ -122,6 +122,12 @@ Status LeapSystem::ShipPartition(PartitionId partition, SiteId src,
   return Status::OK();
 }
 
+// tsa-escape(selector.partition): dynamic lock set — holds the accessed
+// partitions' ownership locks, acquired in sorted order inside loops, from
+// localization until BeginTransaction registers the transaction, which TSA
+// cannot model; the runtime lock-rank checker (partition rank == id)
+// enforces the ordering instead.
+DYNAMAST_NO_THREAD_SAFETY_ANALYSIS
 Status LeapSystem::Execute(core::ClientState& client,
                            const core::TxnProfile& profile,
                            const core::TxnLogic& logic,
@@ -159,19 +165,36 @@ Status LeapSystem::Execute(core::ClientState& client,
     return Status::InvalidArgument("transaction accesses nothing");
   }
 
-  Status last_error = Status::Internal("no attempt");
-  for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    // Ownership lookup + localization, under exclusive ownership locks in
-    // sorted order (no concurrent shipping of the same partition).
-    for (PartitionId p : partitions) ownership_.LockExclusive(p);
-    std::vector<SiteId> owners(partitions.size());
+  // Ownership locks in sorted order: shared while the partitions only have
+  // to stay where they are, exclusive while some of them ship.
+  bool exclusive = false;
+  auto lock_all = [&] {
+    for (PartitionId p : partitions) {
+      if (exclusive) {
+        ownership_.LockExclusive(p);
+      } else {
+        ownership_.LockShared(p);
+      }
+    }
+  };
+  auto unlock_all = [&] {
+    for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
+      if (exclusive) {
+        ownership_.UnlockExclusive(*it);
+      } else {
+        ownership_.UnlockShared(*it);
+      }
+    }
+  };
+  // No routing strategy: execute where most accessed partitions already
+  // live; the rest ship there.
+  std::vector<SiteId> owners(partitions.size());
+  auto locate = [&] {
     std::unordered_map<SiteId, size_t> counts;
     for (size_t i = 0; i < partitions.size(); ++i) {
       owners[i] = ownership_.MasterOf(partitions[i]);
       counts[owners[i]]++;
     }
-    // No routing strategy: execute where most accessed partitions already
-    // live; ship the rest there.
     SiteId dest = owners[0];
     size_t best = 0;
     for (const auto& [site, count] : counts) {
@@ -179,6 +202,25 @@ Status LeapSystem::Execute(core::ClientState& client,
         best = count;
         dest = site;
       }
+    }
+    return dest;
+  };
+
+  Status last_error = Status::Internal("no attempt");
+  for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    // The locks stay held until BeginTransaction has registered the
+    // transaction at `dest`: released any earlier, a concurrent
+    // transaction could ship a partition away during the exec RPC or the
+    // admission wait, and the begin would fail with NotMaster.
+    exclusive = false;
+    lock_all();
+    SiteId dest = locate();
+    if (std::count(owners.begin(), owners.end(), dest) <
+        static_cast<std::ptrdiff_t>(owners.size())) {
+      unlock_all();
+      exclusive = true;
+      lock_all();
+      dest = locate();  // ownership may have moved while unlocked
     }
     bool shipped = false;
     Status ship_status;
@@ -191,10 +233,8 @@ Status LeapSystem::Execute(core::ClientState& client,
       ownership_.SetMaster(partitions[i], dest);
       shipped = true;
     }
-    for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
-      ownership_.UnlockExclusive(*it);
-    }
     if (!ship_status.ok()) {
+      unlock_all();
       last_error = ship_status;
       continue;
     }
@@ -214,8 +254,10 @@ Status LeapSystem::Execute(core::ClientState& client,
     txn_options.client_txn = client.issued_txns;
     site::Transaction txn;
     Status s = site->BeginTransaction(txn_options, &txn);
+    // Registered (a shipper's release now drains it) or refused: either
+    // way the partitions may move again.
+    unlock_all();
     if (s.IsNotMaster()) {
-      // Partition shipped away between localization and begin; retry.
       last_error = s;
       result->retries++;
       continue;

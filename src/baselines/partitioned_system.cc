@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/scheduler.h"
+#include "common/sim_clock.h"
 #include "core/site_txn_context.h"
 
 namespace dynamast::baselines {
@@ -31,17 +32,16 @@ VersionVector MaskToIndex(const VersionVector& v, SiteId s) {
 /// TxnContext for a (possibly distributed) write transaction coordinated
 /// with two-phase commit. Each participant site holds an open sub-
 /// transaction; operations route to the sub-transaction of the key's
-/// owning site.
+/// owning site. The coordinator's service time is only sim::Charge()d; it
+/// is settled by the next round trip or by the first commit or abort.
 class CoordinatedTxnContext final : public core::TxnContext {
  public:
   CoordinatedTxnContext(PartitionedSystem* system, SiteId coordinator,
                         std::map<SiteId, site::Transaction>* subtxns)
       : system_(system), coordinator_(coordinator), subtxns_(subtxns) {}
 
-  ~CoordinatedTxnContext() override { FlushCharges(); }
-
   Status Get(const RecordKey& key, std::string* value) override {
-    ChargeRead();
+    sim::Charge(system_->cluster_.site(coordinator_)->options().read_op_cost);
     const SiteId owner = system_->OwnerOfKey(key);
     auto it = subtxns_->find(owner);
     if (it != subtxns_->end()) {
@@ -78,7 +78,7 @@ class CoordinatedTxnContext final : public core::TxnContext {
   }
 
   Status Put(const RecordKey& key, std::string value) override {
-    system_->cluster_.site(coordinator_)->ChargeOps(0, 1);
+    sim::Charge(system_->cluster_.site(coordinator_)->options().write_op_cost);
     const SiteId owner = system_->OwnerOfKey(key);
     auto it = subtxns_->find(owner);
     if (it == subtxns_->end()) {
@@ -88,25 +88,7 @@ class CoordinatedTxnContext final : public core::TxnContext {
   }
 
   Status Insert(const RecordKey& key, std::string value) override {
-    system_->cluster_.site(coordinator_)->ChargeOps(0, 1);
-    return InsertImpl(key, std::move(value));
-  }
-
-  /// Sleeps off accumulated read service-time debt.
-  void FlushCharges() {
-    if (pending_.count() > 0) {
-      system_->cluster_.site(coordinator_)->ChargeDuration(pending_);
-      pending_ = {};
-    }
-  }
-
- private:
-  void ChargeRead() {
-    pending_ += system_->cluster_.site(coordinator_)->options().read_op_cost;
-    if (pending_ >= std::chrono::microseconds(500)) FlushCharges();
-  }
-
-  Status InsertImpl(const RecordKey& key, std::string value) {
+    sim::Charge(system_->cluster_.site(coordinator_)->options().write_op_cost);
     const SiteId owner = system_->OwnerOfKey(key);
     auto it = subtxns_->find(owner);
     if (it == subtxns_->end()) {
@@ -115,10 +97,10 @@ class CoordinatedTxnContext final : public core::TxnContext {
     return it->second.Insert(key, std::move(value));
   }
 
+ private:
   PartitionedSystem* system_;
   SiteId coordinator_;
   std::map<SiteId, site::Transaction>* subtxns_;
-  std::chrono::nanoseconds pending_{0};
 };
 
 PartitionedSystem::PartitionedSystem(const Options& options,
@@ -506,11 +488,7 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
         return Status::OK();
       }
       site::SiteManager* coord_site = system_->cluster_.site(coordinator_);
-      pending_ += coord_site->options().read_op_cost;
-      if (pending_ >= std::chrono::microseconds(500)) {
-        coord_site->ChargeDuration(pending_);
-        pending_ = {};
-      }
+      sim::Charge(coord_site->options().read_op_cost);
       SiteId owner = system_->OwnerOfKey(key);
       // Replicated static tables (e.g. TPC-C ITEM) are present locally.
       if (owner != coordinator_ && coord_site->engine().Contains(key)) {
@@ -540,11 +518,13 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
     SiteId coordinator_;
     std::unordered_map<RecordKey, std::string, RecordKeyHash>* prefetched_;
     std::unordered_map<SiteId, VersionVector> snapshots_;
-    std::chrono::nanoseconds pending_{0};
   };
 
   ReadContext context(this, coordinator, &prefetched);
   Status s = logic(context);
+  // No commit follows a read-only partition-store transaction: settle its
+  // charged reads here.
+  coord_site->SettleCharges();
   if (!s.ok()) return s;
   result->executed_at = coordinator;
   return Status::OK();

@@ -100,6 +100,9 @@ void CheckRecursion(const void* instance, const char* name) {
 
 void OnLock(const void* instance, const char* name, uint64_t rank) {
   CheckRecursion(instance, name);
+  // Order edges are per class, so a run of held locks of one class (a
+  // sorted partition-lock set) consults the graph once, not once per lock.
+  const char* checked = nullptr;
   for (const HeldLock& h : tls_held) {
     if (std::strcmp(h.name, name) == 0) {
       // Same class: only rank-disciplined nesting is legal.
@@ -114,6 +117,8 @@ void OnLock(const void* instance, const char* name, uint64_t rank) {
       }
       continue;
     }
+    if (checked != nullptr && std::strcmp(checked, h.name) == 0) continue;
+    checked = h.name;
     std::string report;
     {
       Graph& graph = GetGraph();

@@ -170,6 +170,9 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
     trace::Span exec_span(tracer, "execute", "txn", route.site, client.id);
     exec_span.SetTxn(client.id, client.issued_txns);
     s = logic(context);
+    // Settle the logic's charged service time inside its own phase rather
+    // than at the start of commit (which would settle it anyway).
+    site->SettleCharges();
     exec_span.End();
     const uint64_t logic_micros = watch.ElapsedMicros();
     if (!s.ok()) {

@@ -1,9 +1,9 @@
 #ifndef DYNAMAST_CORE_SITE_TXN_CONTEXT_H_
 #define DYNAMAST_CORE_SITE_TXN_CONTEXT_H_
 
-#include <chrono>
 #include <string>
 
+#include "common/sim_clock.h"
 #include "core/system_interface.h"
 #include "site/site_manager.h"
 #include "site/transaction.h"
@@ -14,52 +14,33 @@ namespace dynamast::core {
 /// locally, charging the site's simulated service time. Used by every
 /// system for its local (one-site) executions.
 ///
-/// Service-time charges are *batched*: operation costs accumulate and are
-/// slept off once the pending debt crosses a threshold (and on Flush /
-/// destruction), so sleep-granularity overshoot does not multiply across
-/// the hundreds of reads a scan performs.
+/// Operations only sim::Charge() their cost. Reads are snapshot reads and
+/// writes are staged, so nothing outside the transaction can tell when the
+/// work happened; the debt is slept off in one sleep when the site commits
+/// or aborts the transaction (SiteManager::SettleCharges).
 class SiteTxnContext final : public TxnContext {
  public:
   SiteTxnContext(site::SiteManager* site, site::Transaction* txn)
       : site_(site), txn_(txn) {}
 
-  ~SiteTxnContext() override { Flush(); }
-
   Status Get(const RecordKey& key, std::string* value) override {
-    Charge(site_->options().read_op_cost);
+    sim::Charge(site_->options().read_op_cost);
     return txn_->Get(key, value);
   }
 
   Status Put(const RecordKey& key, std::string value) override {
-    Charge(site_->options().write_op_cost);
+    sim::Charge(site_->options().write_op_cost);
     return txn_->Put(key, std::move(value));
   }
 
   Status Insert(const RecordKey& key, std::string value) override {
-    Charge(site_->options().write_op_cost);
+    sim::Charge(site_->options().write_op_cost);
     return txn_->Insert(key, std::move(value));
   }
 
-  /// Sleeps off any accumulated service-time debt. Systems call this
-  /// before commit so the simulated work lands inside the transaction.
-  void Flush() {
-    if (pending_.count() > 0) {
-      site_->ChargeDuration(pending_);
-      pending_ = {};
-    }
-  }
-
  private:
-  static constexpr std::chrono::microseconds kFlushThreshold{500};
-
-  void Charge(std::chrono::nanoseconds cost) {
-    pending_ += cost;
-    if (pending_ >= kFlushThreshold) Flush();
-  }
-
   site::SiteManager* site_;
   site::Transaction* txn_;
-  std::chrono::nanoseconds pending_{0};
 };
 
 }  // namespace dynamast::core

@@ -1,7 +1,6 @@
 #include "net/sim_network.h"
 
 #include <cstdio>
-#include <thread>
 
 #include "common/scheduler.h"
 
@@ -36,9 +35,10 @@ void SimulatedNetwork::RegisterMetrics(metrics::Registry* registry) {
   }
   inflight_gauge_ = registry->GetGauge("net_inflight_messages");
   link_lag_gauge_ = registry->GetGauge("net_link_lag_us");
+  clock_ = sim::SimClock(registry);
 }
 
-void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
+void SimulatedNetwork::Count(TrafficClass c, size_t bytes) {
   auto& counter = counters_[static_cast<size_t>(c)];
   counter.messages.fetch_add(1, std::memory_order_relaxed);
   counter.bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -51,42 +51,69 @@ void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
   // schedule fuzzing jitters message arrival order here, and record/replay
   // serialize every delivery decision through the per-network queue.
   DYNAMAST_SCHED_OP(kNetDeliver, sched_uid_);
-  if (!options_.charge_delays) return;
+}
+
+std::chrono::nanoseconds SimulatedNetwork::Transmission(size_t bytes) const {
+  return options_.per_kilobyte * static_cast<int64_t>(bytes / 1024 + 1);
+}
+
+std::chrono::nanoseconds SimulatedNetwork::ReserveLink(
+    std::chrono::nanoseconds transmission) {
+  // Transmission occupies the shared wire back-to-back, while propagation
+  // latency overlaps across messages.
+  MutexLock lock(link_mu_);
+  const auto now = std::chrono::steady_clock::now();
+  const auto start = link_busy_until_ > now ? link_busy_until_ : now;
+  link_busy_until_ = start + transmission;
+  if (link_lag_gauge_ != nullptr) {
+    // Delivery lag: how long a message appended now waits for the wire.
+    link_lag_gauge_->Set(
+        std::chrono::duration<double, std::micro>(start - now).count());
+  }
+  return link_busy_until_ - now;
+}
+
+void SimulatedNetwork::Deliver(std::chrono::nanoseconds delay) {
+  if (!options_.charge_delays) {
+    // No network delay, but the sender's own pending work still lands
+    // before its message leaves.
+    clock_.Settle();
+    return;
+  }
   if (inflight_gauge_ != nullptr) {
     inflight_gauge_->Set(static_cast<double>(
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
   }
-  const auto transmission = options_.per_kilobyte * (bytes / 1024 + 1);
-  if (!options_.serialize_link) {
-    std::this_thread::sleep_for(options_.one_way_latency + transmission);
-  } else {
-    // Reserve a slot on the shared wire: transmission occupies the link
-    // back-to-back, while propagation latency overlaps across messages.
-    std::chrono::steady_clock::time_point done;
-    {
-      MutexLock lock(link_mu_);
-      const auto now = std::chrono::steady_clock::now();
-      const auto start = link_busy_until_ > now ? link_busy_until_ : now;
-      link_busy_until_ = start + transmission;
-      done = link_busy_until_;
-      if (link_lag_gauge_ != nullptr) {
-        // Delivery lag: how long a message appended now waits for the wire.
-        link_lag_gauge_->Set(
-            std::chrono::duration<double, std::micro>(start - now).count());
-      }
-    }
-    std::this_thread::sleep_until(done + options_.one_way_latency);
-  }
+  clock_.Settle(delay);
   if (inflight_gauge_ != nullptr) {
     inflight_gauge_->Set(static_cast<double>(
         inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
   }
 }
 
+void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
+  Count(c, bytes);
+  const auto transmission = Transmission(bytes);
+  Deliver(options_.one_way_latency +
+          (options_.charge_delays && options_.serialize_link
+               ? ReserveLink(transmission)
+               : transmission));
+}
+
 void SimulatedNetwork::RoundTrip(TrafficClass c, size_t request_bytes,
                                  size_t response_bytes) {
-  Send(c, request_bytes);
-  Send(c, response_bytes);
+  if (options_.charge_delays && options_.serialize_link) {
+    // Each leg queues for the shared wire on its own.
+    Send(c, request_bytes);
+    Send(c, response_bytes);
+    return;
+  }
+  // Both legs count as messages and deliveries, but the caller sleeps
+  // once for the whole round trip.
+  Count(c, request_bytes);
+  Count(c, response_bytes);
+  Deliver(2 * options_.one_way_latency + Transmission(request_bytes) +
+          Transmission(response_bytes));
 }
 
 uint64_t SimulatedNetwork::MessageCount(TrafficClass c) const {

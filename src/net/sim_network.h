@@ -9,6 +9,7 @@
 
 #include "common/debug_mutex.h"
 #include "common/metrics.h"
+#include "common/sim_clock.h"
 
 namespace dynamast::net {
 
@@ -34,9 +35,11 @@ const char* TrafficClassName(TrafficClass c);
 /// pure-logic tests), and increments per-class message/byte counters that
 /// the breakdown experiment (E10) reports.
 ///
-/// Costs are paid with a sleeping wait, not a busy wait, so hundreds of
-/// in-flight "RPCs" coexist on a single core; throughput then follows
-/// Little's law exactly as in a real latency-bound deployment.
+/// Costs are paid with a sleeping wait (sim::SimClock), not a busy wait, so
+/// hundreds of in-flight "RPCs" coexist on a single core; throughput then
+/// follows Little's law exactly as in a real latency-bound deployment. A
+/// send first settles the sender's pending simulated work, so that work
+/// lands before the message leaves.
 class SimulatedNetwork {
  public:
   struct Options {
@@ -61,11 +64,12 @@ class SimulatedNetwork {
   SimulatedNetwork& operator=(const SimulatedNetwork&) = delete;
 
   /// Charges the cost of sending one message of `bytes` payload and blocks
-  /// the caller for the simulated delivery time.
+  /// the caller for the simulated delivery time plus its pending debt.
   void Send(TrafficClass c, size_t bytes) DYNAMAST_EXCLUDES(link_mu_);
 
   /// A full round trip: request of `request_bytes` plus response of
-  /// `response_bytes`.
+  /// `response_bytes`. Counts two messages but sleeps once for both legs,
+  /// except on a serialized link, where each leg queues for the wire.
   void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes);
 
   uint64_t MessageCount(TrafficClass c) const;
@@ -79,13 +83,26 @@ class SimulatedNetwork {
   /// One line per traffic class: "propagation: 12345 msgs, 1.2 MB".
   std::string ReportCounters() const;
 
-  /// Registers this network's per-class counters and delivery gauges with
-  /// `registry` (Cluster does this at construction). Call before traffic
-  /// flows; handles are resolved once and used lock-free afterwards.
+  /// Registers this network's per-class counters, delivery gauges and
+  /// sleep-overshoot histogram with `registry` (Cluster does this at
+  /// construction). Call before traffic flows; handles are resolved once
+  /// and used lock-free afterwards.
   void RegisterMetrics(metrics::Registry* registry);
 
  private:
+  // Counts one message and marks its delivery as a scheduler operation.
+  void Count(TrafficClass c, size_t bytes);
+  std::chrono::nanoseconds Transmission(size_t bytes) const;
+  // Reserves the shared wire for `transmission`; returns how long until
+  // the message is off the wire.
+  std::chrono::nanoseconds ReserveLink(std::chrono::nanoseconds transmission)
+      DYNAMAST_EXCLUDES(link_mu_);
+  // Settles the caller's pending work plus `delay` (delay only when
+  // charge_delays is set) as one message in flight.
+  void Deliver(std::chrono::nanoseconds delay);
+
   Options options_;
+  sim::SimClock clock_;
   struct ClassMetrics {
     metrics::Counter* messages = nullptr;
     metrics::Counter* bytes = nullptr;

@@ -33,6 +33,7 @@ SiteManager::SiteManager(const SiteOptions& options,
       tracer_(tracer),
       engine_(options.storage),
       gate_(options.worker_slots),
+      clock_(metrics),
       svv_(options.num_sites) {
   if (metrics == nullptr) return;
   const std::string site = std::to_string(options_.site_id);
@@ -160,8 +161,8 @@ void SiteManager::ChargeOps(size_t reads, size_t writes) const {
 }
 
 void SiteManager::ChargeDuration(std::chrono::nanoseconds d) const {
-  if (d.count() <= 0) return;
-  std::this_thread::sleep_for(d);
+  sim::Charge(d);
+  SettleCharges();
 }
 
 // ---------------------------------------------------------------------
@@ -363,6 +364,8 @@ history::HistoryEvent SiteManager::MakeTxnEvent(
 
 Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
   if (!txn->active_) return Status::InvalidArgument("transaction not active");
+  // The transaction's charged work finishes before its effects publish.
+  SettleCharges();
   txn->active_ = false;
 
   if (txn->read_only_ || txn->staged_.empty()) {
@@ -470,6 +473,7 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
 
 void SiteManager::Abort(Transaction* txn, const Status& reason) {
   if (!txn->active_) return;
+  SettleCharges();
   txn->active_ = false;
   if (history_ != nullptr) {
     history_->Record(MakeTxnEvent(*txn, history::EventKind::kAbort));
@@ -731,15 +735,18 @@ void SiteManager::ApplierLoop(SiteId origin) {
       batch_bytes += raw.size();
       batch.push_back(std::move(next));
     }
-    if (network_ != nullptr) {
-      network_->Send(net::TrafficClass::kPropagation, batch_bytes);
-    }
-    // Refresh application consumes site resources: charge the apply cost
-    // for the batch before installing (replica-maintenance overhead;
-    // unreplicated systems like LEAP skip this entirely).
+    // Refresh application consumes site resources: the batch's apply cost
+    // (replica-maintenance overhead; unreplicated systems like LEAP skip
+    // this entirely) is settled together with its network delivery, one
+    // sleep before installing.
     size_t applied_writes = 0;
     for (const log::LogRecord& r : batch) applied_writes += r.writes.size();
-    ChargeDuration(options_.apply_op_cost * applied_writes);
+    sim::Charge(options_.apply_op_cost * applied_writes);
+    if (network_ != nullptr) {
+      network_->Send(net::TrafficClass::kPropagation, batch_bytes);
+    } else {
+      SettleCharges();
+    }
     for (log::LogRecord& r : batch) {
       if (!ApplyRefreshRecord(std::move(r))) return;
     }

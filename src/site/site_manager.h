@@ -15,6 +15,7 @@
 #include "common/key.h"
 #include "common/metrics.h"
 #include "common/partitioner.h"
+#include "common/sim_clock.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "common/version_vector.h"
@@ -115,14 +116,20 @@ class SiteManager {
              const Status& reason = Status::Aborted("caller abort"))
       DYNAMAST_EXCLUDES(state_mu_);
 
-  /// Sleeps for the simulated CPU cost of `reads` snapshot reads plus
-  /// `writes` write operations. Call while holding a gate slot. Callers
-  /// batch charges (see core::SiteTxnContext) so sleep-granularity
-  /// overshoot does not accumulate per operation.
+  /// Sleeps now for the simulated CPU cost of `reads` snapshot reads plus
+  /// `writes` write operations (and the caller's pending debt). For work
+  /// whose result is read right after it is charged (2PC participants,
+  /// prefetch threads); transaction logic only sim::Charge()s and settles
+  /// once (see core::SiteTxnContext).
   void ChargeOps(size_t reads, size_t writes) const;
 
-  /// Sleeps for an explicit duration of simulated site work.
+  /// Sleeps now for an explicit duration of simulated site work.
   void ChargeDuration(std::chrono::nanoseconds d) const;
+
+  /// Sleeps off the calling thread's pending debt (sim::Charge). Commit
+  /// and Abort call it first, so charged work always lands before a
+  /// transaction's effects publish or its locks release.
+  void SettleCharges() const { clock_.Settle(); }
 
   /// Blocks until svv dominates `min`, or the freshness timeout expires.
   Status WaitForVersion(const VersionVector& min) const
@@ -255,6 +262,7 @@ class SiteManager {
   storage::StorageEngine engine_;
   AdmissionGate gate_;
   SiteCounters counters_;
+  sim::SimClock clock_;
 
   mutable DebugMutex state_mu_{"site.state"};
   mutable DebugCondVar state_cv_;

@@ -416,6 +416,65 @@ TEST(LeapTest, StaticPartitionsNeverShipped) {
   system.Shutdown();
 }
 
+// Regression: LEAP once dropped its ownership locks right after
+// localizing, so a concurrent transaction could ship a partition away
+// during the exec RPC and admission wait, and BeginTransaction failed with
+// NotMaster (enough of those in a row exhausted the retry budget). Four
+// clients pull two hot partitions, homed on different sites, back and
+// forth: each transaction writes one hot key plus two keys of partitions
+// its client's site owns, so it always executes at that site.
+TEST(LeapTest, LocalizedPartitionsStayUntilBegin) {
+  RangePartitioner partitioner(10, 10);
+  LeapSystem::Options options;
+  options.cluster = FastCluster(2);
+  options.cluster.network.charge_delays = true;
+  options.cluster.network.one_way_latency = std::chrono::microseconds(200);
+  options.placement = RangePlacement(10, 2);  // 0-4 -> site 0, 5-9 -> site 1
+  LeapSystem system(options, &partitioner);
+  LoadKeys(system, 100, 0);
+
+  // Hot partitions 0 (site 0) and 9 (site 1); home partitions per client.
+  const uint64_t home[4][2] = {{1, 2}, {5, 6}, {3, 4}, {7, 8}};
+  constexpr int kClients = 4;
+  constexpr int kTxnsPerClient = 100;
+  std::atomic<int> failed{0};
+  std::atomic<uint64_t> not_master_retries{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      core::ClientState client;
+      client.id = static_cast<ClientId>(c + 1);
+      for (int i = 0; i < kTxnsPerClient; ++i) {
+        const uint64_t hot = (i + c) % 2 == 0 ? 0 : 9;
+        core::TxnProfile profile;
+        profile.write_keys = {RecordKey{kTable, hot * 10 + c},
+                              RecordKey{kTable, home[c][0] * 10 + c},
+                              RecordKey{kTable, home[c][1] * 10 + c}};
+        profile.read_keys = profile.write_keys;
+        const auto keys = profile.write_keys;
+        auto logic = [keys](core::TxnContext& ctx) -> Status {
+          for (const RecordKey& key : keys) {
+            std::string value;
+            Status s = ctx.Get(key, &value);
+            if (!s.ok()) return s;
+            s = ctx.Put(key, Num(AsNum(value) + 1));
+            if (!s.ok()) return s;
+          }
+          return Status::OK();
+        };
+        core::TxnResult result;
+        if (!system.Execute(client, profile, logic, &result).ok()) ++failed;
+        not_master_retries += result.retries;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(not_master_retries.load(), 0u);
+  EXPECT_GT(system.partitions_shipped(), 0u);
+  system.Shutdown();
+}
+
 TEST(LeapTest, ClusterRunsNoRefreshAppliers) {
   // Regression: LeapSystem once constructed its Cluster before clearing
   // options.cluster.replicated, so refresh appliers ran — and an applier

@@ -105,12 +105,22 @@ def main():
           ),
           forbid=('"site.state"',))
 
+    check("raw-sleep: direct sleeps in site/ and net/", "raw_sleep_bad",
+          ("raw-sleep",), want_exit=1,
+          want_substrings=(
+              "raw-sleep: src/site/bad.cc:7: raw this_thread sleep",
+              "raw-sleep: src/net/bad.cc:7: raw this_thread sleep",
+          ),
+          forbid=("pacing.cc", "bad.cc:2"))
+
     # Each bad fixture is bad in exactly one rule: the others stay quiet.
     check("lock_class_bad is clean for metric-naming", "lock_class_bad",
           ("metric-naming",), want_exit=0)
     check("metric_bad is clean for history-pairing", "metric_bad",
           ("history-pairing",), want_exit=0)
     check("lock_profile_bad is clean for metric-naming", "lock_profile_bad",
+          ("metric-naming",), want_exit=0)
+    check("raw_sleep_bad is clean for metric-naming", "raw_sleep_bad",
           ("metric-naming",), want_exit=0)
 
     if failures:
