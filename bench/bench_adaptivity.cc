@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   system.Seal();
 
   Driver::Options driver_options = DriverOptions(config, config.clients);
-  driver_options.timeline_resolution = std::chrono::milliseconds(1000);
   driver_options.scheduled_actions.emplace_back(
       change_at, [&workload, &config] {
         workload.ShuffleCorrelations(config.seed ^ 0xbeef);
@@ -77,17 +76,36 @@ int main(int argc, char** argv) {
   // and mid-run shuffle), so it wires the RunOne telemetry paths by hand.
   const bool metrics_on = !config.metrics_out.empty();
   const bool timeline_on = !config.timeline_out.empty();
-  if (metrics_on || timeline_on) {
-    metrics::Registry::Global().ResetValues();
-    driver_options.metrics = &metrics::Registry::Global();
-  }
+  metrics::Registry& registry = *system.cluster().metrics();
+  registry.ResetValues();
+  if (metrics_on || timeline_on) driver_options.metrics = &registry;
   Driver driver(driver_options);
   std::unique_ptr<timeline::TimelineSampler> sampler;
   if (timeline_on) {
     sampler = bench::internal::MakeTimelineSampler(config, system.name());
     sampler->Start();
   }
+  // The per-second throughput series: commits summed over the sites. Each
+  // committed DynaMast transaction commits once, at one site.
+  timeline::TimelineSampler::Options per_second;
+  per_second.registry = &registry;
+  per_second.period = std::chrono::milliseconds(1000);
+  timeline::TimelineSampler commits(per_second);
+  commits.Start();
   Driver::Report report = driver.Run(system, workload);
+  commits.Stop();
+  std::vector<uint64_t> tput;
+  uint64_t previous = 0;
+  for (const timeline::TimelineSampler::Row& row : commits.Rows()) {
+    uint64_t committed = 0;
+    for (const metrics::Registry::SampledValue& v : row.values) {
+      if (v.key.starts_with("site_commits_total{")) {
+        committed += static_cast<uint64_t>(v.value);
+      }
+    }
+    tput.push_back(committed - previous);
+    previous = committed;
+  }
 
   // End of run: every surviving mastership transition is final, so close
   // all convergence episodes before reporting/snapshotting.
@@ -102,21 +120,19 @@ int main(int argc, char** argv) {
   const size_t change_bucket =
       static_cast<size_t>(change_at / std::chrono::milliseconds(1000));
   std::printf("%8s %14s\n", "second", "tput(txn/s)");
-  for (size_t i = 0; i < report.timeline.size(); ++i) {
+  for (size_t i = 0; i < tput.size(); ++i) {
     std::printf("%8zu %14llu%s\n", i,
-                static_cast<unsigned long long>(report.timeline[i]),
+                static_cast<unsigned long long>(tput[i]),
                 i == change_bucket ? "   <- workload change" : "");
   }
   // The adaptivity headline: post-change trough vs the end of the run.
-  if (report.timeline.size() > change_bucket + 4) {
+  if (tput.size() > change_bucket + 4) {
     uint64_t trough = UINT64_MAX;
     for (size_t i = change_bucket; i < change_bucket + 3; ++i) {
-      trough = std::min(trough, report.timeline[i]);
+      trough = std::min(trough, tput[i]);
     }
-    const size_t n = report.timeline.size();
-    const double late =
-        static_cast<double>(report.timeline[n - 3] + report.timeline[n - 2]) /
-        2.0;
+    const size_t n = tput.size();
+    const double late = static_cast<double>(tput[n - 3] + tput[n - 2]) / 2.0;
     std::printf("\npost-change trough=%llu txn/s late=%.0f txn/s "
                 "recovery=%.2fx\n",
                 static_cast<unsigned long long>(trough), late,
@@ -124,14 +140,13 @@ int main(int argc, char** argv) {
   }
   std::printf("remastered txns: %llu (%.2f%% of routed writes)\n",
               static_cast<unsigned long long>(
-                  system.site_selector().counters().remastered_txns.load()),
-              100.0 * system.site_selector().counters().RemasterFraction());
+                  registry.CounterValue("selector_remaster_total")),
+              100.0 * RemasterFraction(registry));
 
   // The ROADMAP's time-to-relocalize metric: first remote burst on a
   // partition -> its mastership stabilizing at the accessing site.
   const LatencyRecorder* relocalize =
-      metrics::Registry::Global().HistogramRecorder(
-          "selector_time_to_relocalize_us");
+      registry.HistogramRecorder("selector_time_to_relocalize_us");
   std::printf("time-to-relocalize: episodes=%llu",
               static_cast<unsigned long long>(convergence.relocalized()));
   if (relocalize != nullptr && relocalize->count() > 0) {

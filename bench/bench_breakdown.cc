@@ -37,17 +37,35 @@ int main(int argc, char** argv) {
   RunResult run = RunOne(SystemKind::kDynaMast, deployment, workload,
                          DriverOptions(config, config.clients));
   auto* system = static_cast<core::DynaMastSystem*>(run.system.get());
+  const metrics::Registry& registry = *system->cluster().metrics();
 
-  const core::PhaseStats& phases = system->phase_stats();
-  const double routing = phases.routing.MeanMicros();
-  const double network = phases.network.MeanMicros();
-  const double queueing = phases.queueing.MeanMicros();
-  const double begin = phases.begin.MeanMicros();
-  const double logic = phases.logic.MeanMicros();
-  const double commit = phases.commit.MeanMicros();
+  // Phase means per committed write: route and network observe once per
+  // attempt and once per RPC, so their sums are divided by the commit
+  // count. The slot wait is every admission's mean across the sites.
+  auto phase = [&](const char* name) {
+    return registry.HistogramRecorder("txn_phase_us", {{"phase", name}});
+  };
+  const uint64_t writes = phase("commit")->count();
+  auto per_write = [&](const char* name) {
+    const LatencyRecorder* r = phase(name);
+    return writes == 0 ? 0.0
+                       : r->MeanMicros() * static_cast<double>(r->count()) /
+                             static_cast<double>(writes);
+  };
+  LatencyRecorder admission;
+  for (SiteId s = 0; s < system->cluster().num_sites(); ++s) {
+    admission.Merge(*registry.HistogramRecorder(
+        "site_admission_wait_us", {{"site", std::to_string(s)}}));
+  }
+  const double routing = per_write("route");
+  const double network = per_write("network");
+  const double queueing = admission.MeanMicros();
+  const double begin = per_write("begin");
+  const double logic = per_write("execute");
+  const double commit = per_write("commit");
   const double total = routing + network + queueing + begin + logic + commit;
   std::printf("write transaction phase breakdown (avg, n=%llu):\n",
-              static_cast<unsigned long long>(phases.logic.count()));
+              static_cast<unsigned long long>(writes));
   auto row = [&](const char* name, double micros) {
     std::printf("  %-24s %10.3f ms  %5.1f%%\n", name, micros / 1000.0,
                 total > 0 ? 100.0 * micros / total : 0.0);
@@ -59,27 +77,35 @@ int main(int argc, char** argv) {
   row("transaction logic", logic);
   row("commit", commit);
 
-  const auto& counters = system->site_selector().counters();
   std::printf("\nremastering: %llu of %llu routed writes (%.2f%%), "
               "%llu partitions moved\n",
-              static_cast<unsigned long long>(counters.remastered_txns.load()),
-              static_cast<unsigned long long>(counters.write_routes.load()),
-              100.0 * counters.RemasterFraction(),
               static_cast<unsigned long long>(
-                  counters.partitions_remastered.load()));
+                  registry.CounterValue("selector_remaster_total")),
+              static_cast<unsigned long long>(registry.CounterValue(
+                  "selector_routes_total", {{"kind", "write"}})),
+              100.0 * RemasterFraction(registry),
+              static_cast<unsigned long long>(
+                  registry.CounterValue("selector_partitions_moved_total")));
 
-  std::printf("\nnetwork traffic by class:\n%s",
-              system->cluster().network().ReportCounters().c_str());
-  const double propagation_mb =
-      static_cast<double>(system->cluster().network().ByteCount(
-          net::TrafficClass::kPropagation)) /
-      (1024.0 * 1024.0);
-  const double remaster_mb =
-      static_cast<double>(system->cluster().network().ByteCount(
-          net::TrafficClass::kRemastering)) /
-      (1024.0 * 1024.0);
+  std::printf("\nnetwork traffic by class:\n");
+  auto traffic = [&](const char* family, net::TrafficClass c) {
+    return registry.CounterValue(family, {{"class", net::TrafficClassName(c)}});
+  };
+  for (int i = 0; i < static_cast<int>(net::TrafficClass::kNumClasses); ++i) {
+    const auto c = static_cast<net::TrafficClass>(i);
+    std::printf(
+        "%-16s %12llu msgs %12.3f MB\n", net::TrafficClassName(c),
+        static_cast<unsigned long long>(traffic("net_messages_total", c)),
+        static_cast<double>(traffic("net_bytes_total", c)) /
+            (1024.0 * 1024.0));
+  }
+  const double propagation_bytes = static_cast<double>(
+      traffic("net_bytes_total", net::TrafficClass::kPropagation));
+  const double remaster_bytes = static_cast<double>(
+      traffic("net_bytes_total", net::TrafficClass::kRemastering));
   std::printf("\nremastering bytes / propagation bytes = %.4f\n",
-              propagation_mb > 0 ? remaster_mb / propagation_mb : 0.0);
+              propagation_bytes > 0 ? remaster_bytes / propagation_bytes
+                                    : 0.0);
   run.system->Shutdown();
   return 0;
 }

@@ -370,10 +370,11 @@ inline RunResult RunOne(workloads::SystemKind kind,
   if (trace_on) effective_deployment.trace = true;
   if (history_on) effective_deployment.record_history = true;
   workloads::Driver::Options effective_driver = driver_options;
+  // Zero every series the process has registered so each run's readers
+  // (the bench's own tables, the metrics row, the timeline) see exactly
+  // this run.
+  metrics::Registry::Global().ResetValues();
   if (metrics_on || timeline_on) {
-    // One registry snapshot per run: zero every series the process has
-    // registered so the emitted row (and timeline) covers exactly this run.
-    metrics::Registry::Global().ResetValues();
     effective_driver.metrics = &metrics::Registry::Global();
   }
 
@@ -414,6 +415,17 @@ inline RunResult RunOne(workloads::SystemKind kind,
     }
   }
   return result;
+}
+
+/// Share of routed write transactions that remastered, from the selector
+/// families in `registry`.
+inline double RemasterFraction(const metrics::Registry& registry) {
+  const uint64_t routes =
+      registry.CounterValue("selector_routes_total", {{"kind", "write"}});
+  return routes == 0 ? 0.0
+                     : static_cast<double>(registry.CounterValue(
+                           "selector_remaster_total")) /
+                           static_cast<double>(routes);
 }
 
 inline void PrintHeader(const char* title, const BenchConfig& config) {

@@ -33,16 +33,19 @@ double RunWithWeights(const BenchConfig& config,
   RunResult run = RunOne(SystemKind::kDynaMast, deployment, workload,
                          DriverOptions(config, config.clients));
   if (routed_fraction != nullptr) {
-    auto* dynamast =
-        static_cast<core::DynaMastSystem*>(run.system.get());
-    const auto& counters = dynamast->site_selector().counters();
+    core::Cluster& cluster =
+        static_cast<core::DynaMastSystem*>(run.system.get())->cluster();
+    std::vector<uint64_t> routed;
     uint64_t total = 0;
-    for (const auto& slot : counters.routed_to_site) total += slot->load();
+    for (SiteId site = 0; site < cluster.num_sites(); ++site) {
+      routed.push_back(cluster.metrics()->CounterValue(
+          "selector_routed_to_site_total", {{"site", std::to_string(site)}}));
+      total += routed.back();
+    }
     routed_fraction->clear();
-    for (const auto& slot : counters.routed_to_site) {
+    for (uint64_t count : routed) {
       routed_fraction->push_back(
-          total > 0 ? static_cast<double>(slot->load()) /
-                          static_cast<double>(total)
+          total > 0 ? static_cast<double>(count) / static_cast<double>(total)
                     : 0.0);
     }
   }

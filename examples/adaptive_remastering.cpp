@@ -32,10 +32,10 @@ void PrintPlacement(core::DynaMastSystem& system,
     std::printf("  p%llu->s%u", static_cast<unsigned long long>(p),
                 system.site_selector().partition_map().MasterOfLocked(p));
   }
-  const auto& counters = system.site_selector().counters();
   std::printf("   [%llu remasterings so far]\n",
               static_cast<unsigned long long>(
-                  counters.remastered_txns.load()));
+                  system.cluster().metrics()->CounterValue(
+                      "selector_remaster_total")));
 }
 
 }  // namespace

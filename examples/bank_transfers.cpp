@@ -119,11 +119,14 @@ int main() {
                   ? "(conserved)"
                   : "(MISMATCH!)");
 
-  const auto& counters = dynamast.site_selector().counters();
+  const metrics::Registry& registry = *dynamast.cluster().metrics();
+  const uint64_t write_routes =
+      registry.CounterValue("selector_routes_total", {{"kind", "write"}});
+  const uint64_t remastered = registry.CounterValue("selector_remaster_total");
   std::printf("remastered %llu of %llu write routes (%.1f%%)\n",
-              static_cast<unsigned long long>(counters.remastered_txns.load()),
-              static_cast<unsigned long long>(counters.write_routes.load()),
-              100.0 * counters.RemasterFraction());
+              static_cast<unsigned long long>(remastered),
+              static_cast<unsigned long long>(write_routes),
+              write_routes == 0 ? 0.0 : 100.0 * remastered / write_routes);
   dynamast.Shutdown();
   return 0;
 }

@@ -105,14 +105,18 @@ int main() {
               s.ToString().c_str(), result.executed_at,
               static_cast<unsigned long long>(counter_of_50));
 
-  const auto& counters = dynamast.site_selector().counters();
+  // Every count lives in the cluster's metrics registry.
+  const metrics::Registry& registry = *dynamast.cluster().metrics();
+  const uint64_t write_routes =
+      registry.CounterValue("selector_routes_total", {{"kind", "write"}});
+  const uint64_t remastered = registry.CounterValue("selector_remaster_total");
   std::printf("\nselector: %llu write routes, %llu required remastering "
               "(%.1f%%), %llu partitions moved\n",
-              static_cast<unsigned long long>(counters.write_routes.load()),
-              static_cast<unsigned long long>(counters.remastered_txns.load()),
-              100.0 * counters.RemasterFraction(),
+              static_cast<unsigned long long>(write_routes),
+              static_cast<unsigned long long>(remastered),
+              write_routes == 0 ? 0.0 : 100.0 * remastered / write_routes,
               static_cast<unsigned long long>(
-                  counters.partitions_remastered.load()));
+                  registry.CounterValue("selector_partitions_moved_total")));
   for (SiteId i = 0; i < 3; ++i) {
     std::printf("site %u svv=%s\n", i,
                 dynamast.cluster().site(i)->CurrentVersion().ToString().c_str());

@@ -50,9 +50,14 @@ int main() {
                 latency != nullptr ? latency->Summary().c_str() : "");
   }
 
-  const auto& counters = dynamast.site_selector().counters();
+  const metrics::Registry& registry = *dynamast.cluster().metrics();
+  const uint64_t write_routes =
+      registry.CounterValue("selector_routes_total", {{"kind", "write"}});
   std::printf("\nremastering: %.2f%% of write transactions\n",
-              100.0 * counters.RemasterFraction());
+              write_routes == 0
+                  ? 0.0
+                  : 100.0 * registry.CounterValue("selector_remaster_total") /
+                        write_routes);
   std::printf("mastered partitions per site:");
   auto per_site =
       dynamast.site_selector().partition_map().MasterCounts(4);

@@ -112,7 +112,8 @@ fi
 # 3. Observability surface --------------------------------------------------
 # A short real bench run must produce schema-valid, self-consistent
 # telemetry: nonzero remaster counts, a populated refresh-delay histogram,
-# per-factor routing-explain sums, a Chrome trace whose route spans
+# per-factor routing-explain sums, every write phase timed in
+# txn_phase_us, a Chrome trace whose route spans
 # correlate with execute/commit spans, and metrics that reconcile exactly
 # with the run's history (si_checker --metrics).
 obs_bench() {  # obs_bench <build-dir> <extra bench flags...>
@@ -144,7 +145,10 @@ observability_stage() {
        | .series[].count] | add > 0) and
     ([.metrics.metrics[] | select(.name == "routing_explain_factor_sum")
        | .series[].labels.factor] | sort
-       == ["balance", "delay", "inter", "intra"])
+       == ["balance", "delay", "inter", "intra"]) and
+    ([.metrics.metrics[] | select(.name == "txn_phase_us") | .series[]
+       | select(.count > 0) | .labels.phase] | sort
+       == ["begin", "commit", "execute", "network", "route"])
   ' "$m" > /dev/null || {
     echo "check.sh: metrics JSON failed schema validation" >&2
     return 1

@@ -32,7 +32,11 @@ LeapSystem::LeapSystem(const Options& options, const Partitioner* partitioner)
     : options_(options),
       partitioner_(partitioner),
       cluster_(UnreplicatedCluster(options.cluster), partitioner),
-      ownership_(partitioner->NumPartitions(), 0) {
+      ownership_(partitioner->NumPartitions(), 0),
+      shipped_partitions_(
+          cluster_.metrics()->GetCounter("leap_shipped_partitions_total")),
+      shipped_bytes_(
+          cluster_.metrics()->GetCounter("leap_shipped_bytes_total")) {
   options_.cluster.replicated = false;
   if (options_.placement.size() < partitioner->NumPartitions()) {
     options_.placement.resize(partitioner->NumPartitions(), 0);
@@ -117,8 +121,8 @@ Status LeapSystem::ShipPartition(PartitionId partition, SiteId src,
   cluster_.network().Send(net::TrafficClass::kDataShipping, bytes);
 
   dest_site->SetMasterOf(partition, true);
-  partitions_shipped_.fetch_add(1, std::memory_order_relaxed);
-  bytes_shipped_.fetch_add(bytes, std::memory_order_relaxed);
+  shipped_partitions_->Increment();
+  shipped_bytes_->Increment(bytes);
   return Status::OK();
 }
 

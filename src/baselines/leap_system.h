@@ -1,7 +1,6 @@
 #ifndef DYNAMAST_BASELINES_LEAP_SYSTEM_H_
 #define DYNAMAST_BASELINES_LEAP_SYSTEM_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,8 +54,6 @@ class LeapSystem final : public core::SystemInterface {
 
   core::Cluster& cluster() { return cluster_; }
 
-  uint64_t partitions_shipped() const { return partitions_shipped_.load(std::memory_order_relaxed); }
-  uint64_t bytes_shipped() const { return bytes_shipped_.load(std::memory_order_relaxed); }
   SiteId OwnerOf(PartitionId p) const { return ownership_.MasterOfLocked(p); }
 
  private:
@@ -75,8 +72,8 @@ class LeapSystem final : public core::SystemInterface {
   DebugMutex static_partitions_mu_{"leap.static_partitions"};
   std::unordered_set<PartitionId> static_partitions_
       DYNAMAST_GUARDED_BY(static_partitions_mu_);
-  std::atomic<uint64_t> partitions_shipped_{0};
-  std::atomic<uint64_t> bytes_shipped_{0};
+  metrics::Counter* shipped_partitions_;  // leap_shipped_partitions_total
+  metrics::Counter* shipped_bytes_;       // leap_shipped_bytes_total
   bool sealed_ = false;
 };
 

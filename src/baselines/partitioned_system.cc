@@ -108,6 +108,10 @@ PartitionedSystem::PartitionedSystem(const Options& options,
     : options_(options),
       partitioner_(partitioner),
       cluster_(options.cluster, partitioner),
+      single_site_(cluster_.metrics()->GetCounter(
+          "partitioned_txns_total", {{"kind", "single_site"}})),
+      distributed_(cluster_.metrics()->GetCounter(
+          "partitioned_txns_total", {{"kind", "distributed"}})),
       rng_(options.seed) {
   if (options_.placement.size() < partitioner->NumPartitions()) {
     options_.placement.resize(partitioner->NumPartitions(), 0);
@@ -200,13 +204,13 @@ Status PartitionedSystem::Execute(core::ClientState& client,
   // remote-read machinery even when the write set is single-sited.
   if (participants.size() == 1 && participants[0] == coordinator &&
       options_.replicated) {
-    single_site_txns_.fetch_add(1, std::memory_order_relaxed);
+    single_site_->Increment();
     return ExecuteLocalWrite(client, profile, logic, coordinator, result);
   }
   if (participants.size() == 1 && participants[0] == coordinator) {
-    single_site_txns_.fetch_add(1, std::memory_order_relaxed);
+    single_site_->Increment();
   } else {
-    distributed_txns_.fetch_add(1, std::memory_order_relaxed);
+    distributed_->Increment();
   }
   result->distributed = participants.size() > 1;
   return ExecuteDistributedWrite(client, profile, logic, coordinator,
@@ -416,10 +420,10 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
     coordinator = static_cast<SiteId>(rng_.Uniform(cluster_.num_sites()));
   }
   if (owner_counts.size() > 1) {
-    distributed_txns_.fetch_add(1, std::memory_order_relaxed);
+    distributed_->Increment();
     result->distributed = true;
   } else {
-    single_site_txns_.fetch_add(1, std::memory_order_relaxed);
+    single_site_->Increment();
   }
 
   net.RoundTrip(net::TrafficClass::kClientRequest, kRpcRequestBytes,

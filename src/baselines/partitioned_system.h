@@ -1,7 +1,6 @@
 #ifndef DYNAMAST_BASELINES_PARTITIONED_SYSTEM_H_
 #define DYNAMAST_BASELINES_PARTITIONED_SYSTEM_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -89,9 +88,6 @@ class PartitionedSystem final : public core::SystemInterface {
 
   core::Cluster& cluster() { return cluster_; }
 
-  uint64_t distributed_txns() const { return distributed_txns_.load(std::memory_order_relaxed); }
-  uint64_t single_site_txns() const { return single_site_txns_.load(std::memory_order_relaxed); }
-
  private:
   friend class CoordinatedTxnContext;
 
@@ -117,8 +113,10 @@ class PartitionedSystem final : public core::SystemInterface {
   Options options_;
   const Partitioner* partitioner_;
   core::Cluster cluster_;
-  std::atomic<uint64_t> distributed_txns_{0};
-  std::atomic<uint64_t> single_site_txns_{0};
+  // partitioned_txns_total{kind=single_site|distributed}: transactions
+  // that ran at one site vs. across sites.
+  metrics::Counter* single_site_;
+  metrics::Counter* distributed_;
   DebugMutex rng_mu_{"partitioned.rng"};
   Random rng_ DYNAMAST_GUARDED_BY(rng_mu_);
   bool sealed_ = false;

@@ -117,20 +117,23 @@ std::string Tracer::ToChromeJson() const {
 }
 
 Span::Span(Tracer* tracer, std::string name, std::string cat, uint32_t pid,
-           uint64_t tid)
-    : tracer_(tracer), ended_(tracer == nullptr) {
+           uint64_t tid, metrics::Histogram* histogram)
+    : tracer_(tracer),
+      histogram_(histogram),
+      ended_(tracer == nullptr && histogram == nullptr) {
+  if (ended_) return;
+  event_.ts_us = metrics::NowMicros();
   if (tracer_ == nullptr) return;
   event_.name = std::move(name);
   event_.cat = std::move(cat);
   event_.pid = pid;
   event_.tid = tid;
-  event_.ts_us = metrics::NowMicros();
 }
 
 Span::~Span() { End(); }
 
 void Span::SetTxn(uint64_t client, uint64_t client_txn) {
-  if (ended_) return;
+  if (!tracing()) return;
   char buf[48];
   std::snprintf(buf, sizeof(buf), "c%llu.t%llu",
                 static_cast<unsigned long long>(client),
@@ -139,11 +142,12 @@ void Span::SetTxn(uint64_t client, uint64_t client_txn) {
 }
 
 void Span::AddArg(std::string key, std::string value) {
-  if (ended_) return;
+  if (!tracing()) return;
   event_.args.emplace_back(std::move(key), std::move(value));
 }
 
 void Span::AddNum(std::string key, double value) {
+  if (!tracing()) return;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   AddArg(std::move(key), buf);
@@ -153,7 +157,8 @@ void Span::End() {
   if (ended_) return;
   ended_ = true;
   event_.dur_us = metrics::NowMicros() - event_.ts_us;
-  tracer_->Record(std::move(event_));
+  if (histogram_ != nullptr) histogram_->Observe(event_.dur_us);
+  if (tracer_ != nullptr) tracer_->Record(std::move(event_));
 }
 
 }  // namespace dynamast::trace

@@ -9,6 +9,10 @@
 
 #include "common/debug_mutex.h"
 
+namespace dynamast::metrics {
+class Histogram;
+}  // namespace dynamast::metrics
+
 namespace dynamast::trace {
 
 /// One completed span (Chrome trace-event "X" phase) or instant event
@@ -84,19 +88,23 @@ class Tracer {
 /// Builds a process_name metadata event (ph "M").
 TraceEvent ProcessNameEvent(uint32_t pid, const std::string& name);
 
-/// RAII span: starts at construction, records into `tracer` at End() /
-/// destruction. Null `tracer` makes every operation a no-op, so call
-/// sites need no tracing-enabled branches.
+/// RAII span and phase timer: starts at construction, ends at End() /
+/// destruction. At the end it records into `tracer` (if non-null) and
+/// observes its duration in microseconds into `histogram` (if non-null),
+/// so one object both traces an interval and feeds its latency family.
+/// With both null every operation is a no-op, so call sites need no
+/// tracing-enabled branches; a histogram alone times without tracing.
 class Span {
  public:
   Span(Tracer* tracer, std::string name, std::string cat, uint32_t pid,
-       uint64_t tid);
+       uint64_t tid, metrics::Histogram* histogram = nullptr);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches the cross-site transaction correlation key.
+  /// Attaches the cross-site transaction correlation key. Arguments are
+  /// formatted only when the span records into a tracer.
   void SetTxn(uint64_t client, uint64_t client_txn);
   void AddArg(std::string key, std::string value);
   void AddNum(std::string key, double value);
@@ -105,7 +113,11 @@ class Span {
   void End();
 
  private:
+  // True while the span still records into a tracer.
+  bool tracing() const { return tracer_ != nullptr && !ended_; }
+
   Tracer* tracer_;
+  metrics::Histogram* histogram_;
   TraceEvent event_;
   bool ended_;
 };

@@ -7,9 +7,9 @@ namespace dynamast::core {
 Cluster::Cluster(const Options& options, const Partitioner* partitioner)
     : options_(options),
       partitioner_(partitioner),
-      network_(options.network),
-      logs_(options.num_sites),
-      metrics_(metrics::Registry::OrGlobal(options.metrics)) {
+      metrics_(metrics::Registry::OrGlobal(options.metrics)),
+      network_(options.network, metrics_),
+      logs_(options.num_sites) {
   if (options_.trace) {
     tracer_ = std::make_unique<trace::Tracer>();
     for (uint32_t i = 0; i < options_.num_sites; ++i) {
@@ -20,7 +20,6 @@ Cluster::Cluster(const Options& options, const Partitioner* partitioner)
   if (options_.record_history) {
     history_ = std::make_unique<history::Recorder>();
   }
-  network_.RegisterMetrics(metrics_);
   for (uint32_t i = 0; i < options_.num_sites; ++i) {
     logs_.TopicFor(i)->SetAppendLatency(metrics_->GetHistogram(
         "log_append_us", {{"site", std::to_string(i)}}));

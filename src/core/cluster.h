@@ -81,9 +81,9 @@ class Cluster {
  private:
   Options options_;
   const Partitioner* partitioner_;
+  metrics::Registry* metrics_;
   net::SimulatedNetwork network_;
   log::LogManager logs_;
-  metrics::Registry* metrics_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<history::Recorder> history_;
   std::vector<std::unique_ptr<site::SiteManager>> sites_;

@@ -22,11 +22,17 @@ DynaMastSystem::DynaMastSystem(const Options& options,
                                const Partitioner* partitioner)
     : options_(options), partitioner_(partitioner),
       cluster_(options.cluster, partitioner) {
+  metrics::Registry* registry = cluster_.metrics();
+  auto phase = [registry](const char* name) {
+    return registry->GetHistogram("txn_phase_us", {{"phase", name}});
+  };
+  phase_us_ = {phase("route"), phase("network"), phase("begin"),
+               phase("execute"), phase("commit")};
   selector::SelectorOptions sel = options_.selector;
   sel.num_sites = cluster_.num_sites();
   // The selector exports into the same registry/tracer as the data sites
   // unless the caller wired its own.
-  if (sel.metrics == nullptr) sel.metrics = cluster_.metrics();
+  if (sel.metrics == nullptr) sel.metrics = registry;
   if (sel.tracer == nullptr) sel.tracer = cluster_.tracer();
   selector_ = std::make_unique<selector::SiteSelector>(
       sel, cluster_.site_pointers(), partitioner, &cluster_.network());
@@ -81,10 +87,17 @@ Status DynaMastSystem::Execute(ClientState& client, const TxnProfile& profile,
                            : ExecuteWrite(client, profile, logic, result);
 }
 
+void DynaMastSystem::ClientRoundTrip(size_t request_bytes,
+                                     size_t response_bytes) {
+  // Untraced (two legs per attempt would crowd the trace): a timer only.
+  trace::Span span(nullptr, "network", "txn", 0, 0, phase_us_.network);
+  cluster_.network().RoundTrip(net::TrafficClass::kClientRequest,
+                               request_bytes, response_bytes);
+}
+
 Status DynaMastSystem::ExecuteWrite(ClientState& client,
                                     const TxnProfile& profile,
                                     const TxnLogic& logic, TxnResult* result) {
-  net::SimulatedNetwork& net = cluster_.network();
   // Merge declared write keys and insert-only partitions into the routing
   // request.
   std::vector<PartitionId> partitions;
@@ -101,20 +114,14 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
   for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
     // begin_transaction RPC: client -> site selector, carrying the write
     // set (Section III-B).
+    ClientRoundTrip(kRouteRequestBytes + 8 * partitions.size(),
+                    kRouteResponseBytes);
     trace::Span route_span(tracer, "route", "txn", cluster_.num_sites(),
-                           client.id);
+                           client.id, phase_us_.route);
     route_span.SetTxn(client.id, client.issued_txns);
-    Stopwatch watch;
-    net.RoundTrip(net::TrafficClass::kClientRequest,
-                  kRouteRequestBytes + 8 * partitions.size(),
-                  kRouteResponseBytes);
-    const uint64_t route_rpc_micros = watch.ElapsedMicros();
-
-    watch.Restart();
     selector::RouteResult route;
     Status s = selector_->RouteWritePartitions(client.id, partitions,
                                                client.session, &route);
-    const uint64_t routing_micros = watch.ElapsedMicros();
     if (!s.ok()) {
       last_error = s;
       continue;
@@ -126,17 +133,12 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
 
     // Client submits the transaction directly to the chosen data site.
     site::SiteManager* site = cluster_.site(route.site);
-    watch.Restart();
-    net.RoundTrip(net::TrafficClass::kClientRequest,
-                  kExecRequestBaseBytes + 32 * profile.write_keys.size(),
-                  kExecResponseBytes);
-    const uint64_t exec_rpc_micros = watch.ElapsedMicros();
-    watch.Restart();
+    ClientRoundTrip(kExecRequestBaseBytes + 32 * profile.write_keys.size(),
+                    kExecResponseBytes);
     trace::Span admit_span(tracer, "admission", "txn", route.site, client.id);
     admit_span.SetTxn(client.id, client.issued_txns);
     site::AdmissionGate::Scoped slot(site->gate());
     admit_span.End();
-    const uint64_t queue_micros = watch.ElapsedMicros();
 
     site::TxnOptions txn_options;
     txn_options.write_keys = profile.write_keys;
@@ -144,12 +146,11 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
     txn_options.client = client.id;
     txn_options.client_txn = client.issued_txns;
     site::Transaction txn;
-    watch.Restart();
-    trace::Span begin_span(tracer, "begin", "txn", route.site, client.id);
+    trace::Span begin_span(tracer, "begin", "txn", route.site, client.id,
+                           phase_us_.begin);
     begin_span.SetTxn(client.id, client.issued_txns);
     s = site->BeginTransaction(txn_options, &txn);
     begin_span.End();
-    const uint64_t begin_micros = watch.ElapsedMicros();
     if (s.IsNotMaster()) {
       // Lost a race with a concurrent remastering; re-route.
       last_error = s;
@@ -166,32 +167,25 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
             " below routed minimum " + route.min_begin_version.ToString());
 
     SiteTxnContext context(site, &txn);
-    watch.Restart();
-    trace::Span exec_span(tracer, "execute", "txn", route.site, client.id);
+    trace::Span exec_span(tracer, "execute", "txn", route.site, client.id,
+                          phase_us_.execute);
     exec_span.SetTxn(client.id, client.issued_txns);
     s = logic(context);
     // Settle the logic's charged service time inside its own phase rather
     // than at the start of commit (which would settle it anyway).
     site->SettleCharges();
     exec_span.End();
-    const uint64_t logic_micros = watch.ElapsedMicros();
     if (!s.ok()) {
       site->Abort(&txn, s);
       return s;
     }
     VersionVector commit_version;
-    watch.Restart();
-    trace::Span commit_span(tracer, "commit", "txn", route.site, client.id);
+    trace::Span commit_span(tracer, "commit", "txn", route.site, client.id,
+                            phase_us_.commit);
     commit_span.SetTxn(client.id, client.issued_txns);
     s = site->Commit(&txn, &commit_version);
     commit_span.End();
     if (!s.ok()) return s;
-    phase_stats_.commit.Record(watch.ElapsedMicros());
-    phase_stats_.network.Record(route_rpc_micros + exec_rpc_micros);
-    phase_stats_.queueing.Record(queue_micros);
-    phase_stats_.routing.Record(routing_micros);
-    phase_stats_.begin.Record(begin_micros);
-    phase_stats_.logic.Record(logic_micros);
     client.session.MaxWith(commit_version);
     result->executed_at = route.site;
     result->remastered = route.remastered;

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/latency_recorder.h"
+#include "common/metrics.h"
 #include "core/cluster.h"
 #include "core/system_interface.h"
 #include "selector/site_selector.h"
@@ -25,19 +25,6 @@ enum class InitialPlacement {
   /// Caller-provided placement (adaptivity experiment: manual range
   /// placement that the workload then violates).
   kCustom,
-};
-
-/// Per-phase latency accounting over write transactions, mirroring the
-/// breakdown of Figure 7 / Appendix D: routing decision (including any
-/// remastering), time on the simulated network, transaction begin (lock
-/// acquisition + session waits), stored-procedure logic, and commit.
-struct PhaseStats {
-  LatencyRecorder routing;
-  LatencyRecorder network;
-  LatencyRecorder queueing;  // waiting for a worker slot at the data site
-  LatencyRecorder begin;
-  LatencyRecorder logic;
-  LatencyRecorder commit;
 };
 
 /// DynaMast proper: lazily replicated multi-master system with dynamic
@@ -81,19 +68,34 @@ class DynaMastSystem final : public SystemInterface {
 
   Cluster& cluster() { return cluster_; }
   selector::SiteSelector& site_selector() { return *selector_; }
-  PhaseStats& phase_stats() { return phase_stats_; }
 
  private:
   Status ExecuteWrite(ClientState& client, const TxnProfile& profile,
                       const TxnLogic& logic, TxnResult* result);
   Status ExecuteRead(ClientState& client, const TxnProfile& profile,
                      const TxnLogic& logic, TxnResult* result);
+  // A write transaction's client RPC round trip (to the selector or the
+  // data site), timed into txn_phase_us{phase=network}.
+  void ClientRoundTrip(size_t request_bytes, size_t response_bytes);
+
+  // Write-transaction phase timers, the breakdown of Figure 7 / Appendix
+  // D: txn_phase_us{phase} for the routing decision (including any
+  // remastering), each client RPC, begin (session wait + locks), the
+  // stored-procedure logic and commit. The slot wait between the RPC and
+  // begin is site_admission_wait_us; it is not timed twice.
+  struct PhaseHistograms {
+    metrics::Histogram* route = nullptr;
+    metrics::Histogram* network = nullptr;
+    metrics::Histogram* begin = nullptr;
+    metrics::Histogram* execute = nullptr;
+    metrics::Histogram* commit = nullptr;
+  };
 
   Options options_;
   const Partitioner* partitioner_;
   Cluster cluster_;
   std::unique_ptr<selector::SiteSelector> selector_;
-  PhaseStats phase_stats_;
+  PhaseHistograms phase_us_;
   bool sealed_ = false;
 };
 

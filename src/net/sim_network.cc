@@ -1,7 +1,5 @@
 #include "net/sim_network.h"
 
-#include <cstdio>
-
 #include "common/scheduler.h"
 
 namespace dynamast::net {
@@ -24,29 +22,25 @@ const char* TrafficClassName(TrafficClass c) {
   return "unknown";
 }
 
-void SimulatedNetwork::RegisterMetrics(metrics::Registry* registry) {
-  registry = metrics::Registry::OrGlobal(registry);
+SimulatedNetwork::SimulatedNetwork(const Options& options,
+                                   metrics::Registry* metrics)
+    : options_(options), clock_(metrics) {
+  metrics = metrics::Registry::OrGlobal(metrics);
   for (size_t i = 0; i < class_metrics_.size(); ++i) {
     const metrics::Labels labels = {
         {"class", TrafficClassName(static_cast<TrafficClass>(i))}};
     class_metrics_[i].messages =
-        registry->GetCounter("net_messages_total", labels);
-    class_metrics_[i].bytes = registry->GetCounter("net_bytes_total", labels);
+        metrics->GetCounter("net_messages_total", labels);
+    class_metrics_[i].bytes = metrics->GetCounter("net_bytes_total", labels);
   }
-  inflight_gauge_ = registry->GetGauge("net_inflight_messages");
-  link_lag_gauge_ = registry->GetGauge("net_link_lag_us");
-  clock_ = sim::SimClock(registry);
+  inflight_ = metrics->GetGauge("net_inflight_messages");
+  link_lag_us_ = metrics->GetGauge("net_link_lag_us");
 }
 
 void SimulatedNetwork::Count(TrafficClass c, size_t bytes) {
-  auto& counter = counters_[static_cast<size_t>(c)];
-  counter.messages.fetch_add(1, std::memory_order_relaxed);
-  counter.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  const ClassMetrics& exported = class_metrics_[static_cast<size_t>(c)];
-  if (exported.messages != nullptr) {
-    exported.messages->Increment();
-    exported.bytes->Increment(bytes);
-  }
+  const ClassMetrics& counters = class_metrics_[static_cast<size_t>(c)];
+  counters.messages->Increment();
+  counters.bytes->Increment(bytes);
   // Delivery is a synchronization point even when delay charging is off:
   // schedule fuzzing jitters message arrival order here, and record/replay
   // serialize every delivery decision through the per-network queue.
@@ -65,11 +59,9 @@ std::chrono::nanoseconds SimulatedNetwork::ReserveLink(
   const auto now = std::chrono::steady_clock::now();
   const auto start = link_busy_until_ > now ? link_busy_until_ : now;
   link_busy_until_ = start + transmission;
-  if (link_lag_gauge_ != nullptr) {
-    // Delivery lag: how long a message appended now waits for the wire.
-    link_lag_gauge_->Set(
-        std::chrono::duration<double, std::micro>(start - now).count());
-  }
+  // Delivery lag: how long a message appended now waits for the wire.
+  link_lag_us_->Set(
+      std::chrono::duration<double, std::micro>(start - now).count());
   return link_busy_until_ - now;
 }
 
@@ -80,15 +72,9 @@ void SimulatedNetwork::Deliver(std::chrono::nanoseconds delay) {
     clock_.Settle();
     return;
   }
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(static_cast<double>(
-        inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
-  }
+  inflight_->Add(1);
   clock_.Settle(delay);
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(static_cast<double>(
-        inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-  }
+  inflight_->Add(-1);
 }
 
 void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
@@ -114,53 +100,6 @@ void SimulatedNetwork::RoundTrip(TrafficClass c, size_t request_bytes,
   Count(c, response_bytes);
   Deliver(2 * options_.one_way_latency + Transmission(request_bytes) +
           Transmission(response_bytes));
-}
-
-uint64_t SimulatedNetwork::MessageCount(TrafficClass c) const {
-  return counters_[static_cast<size_t>(c)].messages.load(
-      std::memory_order_relaxed);
-}
-
-uint64_t SimulatedNetwork::ByteCount(TrafficClass c) const {
-  return counters_[static_cast<size_t>(c)].bytes.load(
-      std::memory_order_relaxed);
-}
-
-uint64_t SimulatedNetwork::TotalMessages() const {
-  uint64_t total = 0;
-  for (const auto& counter : counters_) {
-    total += counter.messages.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t SimulatedNetwork::TotalBytes() const {
-  uint64_t total = 0;
-  for (const auto& counter : counters_) {
-    total += counter.bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void SimulatedNetwork::ResetCounters() {
-  for (auto& counter : counters_) {
-    counter.messages.store(0, std::memory_order_relaxed);
-    counter.bytes.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::string SimulatedNetwork::ReportCounters() const {
-  std::string out;
-  char buf[160];
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    const auto c = static_cast<TrafficClass>(i);
-    std::snprintf(buf, sizeof(buf), "%-16s %12llu msgs %12.3f MB\n",
-                  TrafficClassName(c),
-                  static_cast<unsigned long long>(MessageCount(c)),
-                  static_cast<double>(ByteCount(c)) / (1024.0 * 1024.0));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace dynamast::net

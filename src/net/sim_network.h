@@ -2,10 +2,8 @@
 #define DYNAMAST_NET_SIM_NETWORK_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "common/debug_mutex.h"
 #include "common/metrics.h"
@@ -32,8 +30,8 @@ const char* TrafficClassName(TrafficClass c);
 ///
 /// Every message charges the calling thread a one-way latency plus a
 /// per-byte transmission cost (both configurable, both may be zero for
-/// pure-logic tests), and increments per-class message/byte counters that
-/// the breakdown experiment (E10) reports.
+/// pure-logic tests), and increments the per-class net_messages_total /
+/// net_bytes_total series that the breakdown experiment (E10) reports.
 ///
 /// Costs are paid with a sleeping wait (sim::SimClock), not a busy wait, so
 /// hundreds of in-flight "RPCs" coexist on a single core; throughput then
@@ -57,8 +55,10 @@ class SimulatedNetwork {
     bool serialize_link = false;
   };
 
-  SimulatedNetwork() : SimulatedNetwork(Options{}) {}
-  explicit SimulatedNetwork(const Options& options) : options_(options) {}
+  /// Exports the per-class counters, delivery gauges and sleep-overshoot
+  /// histogram into `metrics` (null means metrics::Registry::Global()).
+  explicit SimulatedNetwork(const Options& options,
+                            metrics::Registry* metrics = nullptr);
 
   SimulatedNetwork(const SimulatedNetwork&) = delete;
   SimulatedNetwork& operator=(const SimulatedNetwork&) = delete;
@@ -72,22 +72,7 @@ class SimulatedNetwork {
   /// except on a serialized link, where each leg queues for the wire.
   void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes);
 
-  uint64_t MessageCount(TrafficClass c) const;
-  uint64_t ByteCount(TrafficClass c) const;
-  uint64_t TotalMessages() const;
-  uint64_t TotalBytes() const;
-  void ResetCounters();
-
   const Options& options() const { return options_; }
-
-  /// One line per traffic class: "propagation: 12345 msgs, 1.2 MB".
-  std::string ReportCounters() const;
-
-  /// Registers this network's per-class counters, delivery gauges and
-  /// sleep-overshoot histogram with `registry` (Cluster does this at
-  /// construction). Call before traffic flows; handles are resolved once
-  /// and used lock-free afterwards.
-  void RegisterMetrics(metrics::Registry* registry);
 
  private:
   // Counts one message and marks its delivery as a scheduler operation.
@@ -111,15 +96,8 @@ class SimulatedNetwork {
       class_metrics_{};
   // Messages currently in flight (sleeping out their delivery time) and,
   // in serialize_link mode, how far behind the shared wire is running.
-  metrics::Gauge* inflight_gauge_ = nullptr;
-  metrics::Gauge* link_lag_gauge_ = nullptr;
-  std::atomic<int64_t> inflight_{0};
-  struct Counter {
-    std::atomic<uint64_t> messages{0};
-    std::atomic<uint64_t> bytes{0};
-  };
-  std::array<Counter, static_cast<size_t>(TrafficClass::kNumClasses)>
-      counters_;
+  metrics::Gauge* inflight_ = nullptr;
+  metrics::Gauge* link_lag_us_ = nullptr;
   // Serialized-link state: when the wire frees up. Leaf lock, held only to
   // reserve a transmission slot (the sleep happens outside the lock).
   DebugMutex link_mu_{"net.link"};

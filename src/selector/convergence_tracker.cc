@@ -13,12 +13,9 @@ constexpr size_t kMaxInlineCloses = 32;
 ConvergenceTracker::ConvergenceTracker(size_t num_partitions,
                                        const Options& options)
     : options_(options), states_(num_partitions) {
-  if (metrics::Registry* reg = options_.metrics; reg != nullptr) {
-    relocalized_total_ =
-        reg->GetCounter("selector_relocalized_partitions_total");
-    time_to_relocalize_us_ =
-        reg->GetHistogram("selector_time_to_relocalize_us");
-  }
+  metrics::Registry* reg = metrics::Registry::OrGlobal(options_.metrics);
+  relocalized_total_ = reg->GetCounter("selector_relocalized_partitions_total");
+  time_to_relocalize_us_ = reg->GetHistogram("selector_time_to_relocalize_us");
 }
 
 bool ConvergenceTracker::MaybeCloseLocked(PartitionState* state,
@@ -40,14 +37,8 @@ bool ConvergenceTracker::MaybeCloseLocked(PartitionState* state,
 
 void ConvergenceTracker::Export(const uint64_t* durations, size_t n) {
   if (n == 0) return;
-  if (relocalized_total_ != nullptr) {
-    relocalized_total_->Increment(n);
-  }
-  if (time_to_relocalize_us_ != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      time_to_relocalize_us_->Observe(durations[i]);
-    }
-  }
+  relocalized_total_->Increment(n);
+  for (size_t i = 0; i < n; ++i) time_to_relocalize_us_->Observe(durations[i]);
 }
 
 void ConvergenceTracker::OnSlowPathRoute(

@@ -39,8 +39,7 @@ class ConvergenceTracker {
   struct Options {
     /// A transition must stand unchallenged this long to count as stable.
     uint64_t stability_window_us = 500'000;
-    /// Registry to export into; null disables export (episodes are still
-    /// tracked and countable via relocalized()/open_windows()).
+    /// Registry to export into; null means metrics::Registry::Global().
     metrics::Registry* metrics = nullptr;
   };
 
@@ -88,7 +87,7 @@ class ConvergenceTracker {
   std::vector<PartitionState> states_ DYNAMAST_GUARDED_BY(mu_);
   uint64_t relocalized_ DYNAMAST_GUARDED_BY(mu_) = 0;
 
-  // Resolved once at construction (null without a registry).
+  // Resolved once at construction.
   metrics::Counter* relocalized_total_ = nullptr;
   metrics::Histogram* time_to_relocalize_us_ = nullptr;
 };

@@ -5,8 +5,15 @@
 namespace dynamast::selector {
 
 ReplicaSiteSelector::ReplicaSiteSelector(SiteSelector* master,
-                                         const Partitioner* partitioner)
+                                         const Partitioner* partitioner,
+                                         metrics::Registry* metrics)
     : master_(master), partitioner_(partitioner) {
+  metrics = metrics::Registry::OrGlobal(metrics);
+  routed_locally_ =
+      metrics->GetCounter("replica_selector_routes_total", {{"kind", "local"}});
+  fallbacks_ = metrics->GetCounter("replica_selector_routes_total",
+                                   {{"kind", "fallback"}});
+  syncs_ = metrics->GetCounter("replica_selector_syncs_total");
   Sync();
 }
 
@@ -17,7 +24,7 @@ void ReplicaSiteSelector::Sync() {
   }
   MutexLock guard(cache_mu_);
   cached_master_ = std::move(fresh);
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  syncs_->Increment();
 }
 
 Status ReplicaSiteSelector::TryRouteWrite(
@@ -52,12 +59,12 @@ Status ReplicaSiteSelector::TryRouteWritePartitions(
       } else if (site != owner) {
         // Distributed master copies (per the cache): only the master
         // selector may remaster.
-        fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        fallbacks_->Increment();
         return Status::Unavailable("write set requires remastering");
       }
     }
   }
-  local_routes_.fetch_add(1, std::memory_order_relaxed);
+  routed_locally_->Increment();
   out->site = site;
   out->min_begin_version = client_session;
   out->remastered = false;

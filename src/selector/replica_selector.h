@@ -1,12 +1,12 @@
 #ifndef DYNAMAST_SELECTOR_REPLICA_SELECTOR_H_
 #define DYNAMAST_SELECTOR_REPLICA_SELECTOR_H_
 
-#include <atomic>
 #include <mutex>
 #include <vector>
 
 #include "common/debug_mutex.h"
 #include "common/key.h"
+#include "common/metrics.h"
 #include "common/partitioner.h"
 #include "selector/site_selector.h"
 
@@ -31,8 +31,12 @@ namespace dynamast::selector {
 ///    managers' mastership checks.
 class ReplicaSiteSelector {
  public:
-  /// `master` and `partitioner` must outlive the replica.
-  ReplicaSiteSelector(SiteSelector* master, const Partitioner* partitioner);
+  /// `master` and `partitioner` must outlive the replica. Routing counts
+  /// export into `metrics` (null means metrics::Registry::Global()):
+  /// replica_selector_routes_total{kind=local|fallback} and
+  /// replica_selector_syncs_total.
+  ReplicaSiteSelector(SiteSelector* master, const Partitioner* partitioner,
+                      metrics::Registry* metrics = nullptr);
 
   ReplicaSiteSelector(const ReplicaSiteSelector&) = delete;
   ReplicaSiteSelector& operator=(const ReplicaSiteSelector&) = delete;
@@ -61,10 +65,6 @@ class ReplicaSiteSelector {
     return master_->RouteRead(client, client_session, out_site);
   }
 
-  uint64_t local_routes() const { return local_routes_.load(std::memory_order_relaxed); }
-  uint64_t fallbacks() const { return fallbacks_.load(std::memory_order_relaxed); }
-  uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
-
  private:
   SiteSelector* master_;
   const Partitioner* partitioner_;
@@ -72,9 +72,9 @@ class ReplicaSiteSelector {
   mutable DebugMutex cache_mu_{"selector.replica_cache"};
   std::vector<SiteId> cached_master_ DYNAMAST_GUARDED_BY(cache_mu_);
 
-  std::atomic<uint64_t> local_routes_{0};
-  std::atomic<uint64_t> fallbacks_{0};
-  std::atomic<uint64_t> syncs_{0};
+  metrics::Counter* routed_locally_ = nullptr;
+  metrics::Counter* fallbacks_ = nullptr;
+  metrics::Counter* syncs_ = nullptr;
 };
 
 }  // namespace dynamast::selector

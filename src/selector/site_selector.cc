@@ -32,7 +32,6 @@ SiteSelector::SiteSelector(const SelectorOptions& options,
       tracer_(options.tracer),
       map_(partitioner->NumPartitions(), options.initial_master),
       strategy_(options.weights, options.num_sites),
-      counters_(options.num_sites),
       convergence_(partitioner->NumPartitions(),
                    ConvergenceTracker::Options{
                        options.relocalize_stability_window_us,
@@ -43,29 +42,28 @@ SiteSelector::SiteSelector(const SelectorOptions& options,
   std::vector<SiteId> initial(partitioner->NumPartitions(),
                               options_.initial_master);
   stats_ = std::make_unique<AccessStatistics>(stats_options, initial);
-  if (metrics::Registry* reg = options_.metrics; reg != nullptr) {
-    exported_.routes_write =
-        reg->GetCounter("selector_routes_total", {{"kind", "write"}});
-    exported_.routes_read =
-        reg->GetCounter("selector_routes_total", {{"kind", "read"}});
-    exported_.remaster_txns = reg->GetCounter("selector_remaster_total");
-    exported_.partitions_moved =
-        reg->GetCounter("selector_partitions_moved_total");
-    for (SiteId s = 0; s < options_.num_sites; ++s) {
-      exported_.routed_to_site.push_back(reg->GetCounter(
-          "selector_routed_to_site_total", {{"site", std::to_string(s)}}));
-    }
-    exported_.explain_decisions =
-        reg->GetCounter("routing_explain_decisions_total");
-    exported_.factor_balance =
-        reg->GetGauge("routing_explain_factor_sum", {{"factor", "balance"}});
-    exported_.factor_delay =
-        reg->GetGauge("routing_explain_factor_sum", {{"factor", "delay"}});
-    exported_.factor_intra =
-        reg->GetGauge("routing_explain_factor_sum", {{"factor", "intra"}});
-    exported_.factor_inter =
-        reg->GetGauge("routing_explain_factor_sum", {{"factor", "inter"}});
+  metrics::Registry* reg = metrics::Registry::OrGlobal(options_.metrics);
+  exported_.routes_write =
+      reg->GetCounter("selector_routes_total", {{"kind", "write"}});
+  exported_.routes_read =
+      reg->GetCounter("selector_routes_total", {{"kind", "read"}});
+  exported_.remaster_txns = reg->GetCounter("selector_remaster_total");
+  exported_.partitions_moved =
+      reg->GetCounter("selector_partitions_moved_total");
+  for (SiteId s = 0; s < options_.num_sites; ++s) {
+    exported_.routed_to_site.push_back(reg->GetCounter(
+        "selector_routed_to_site_total", {{"site", std::to_string(s)}}));
   }
+  exported_.explain_decisions =
+      reg->GetCounter("routing_explain_decisions_total");
+  exported_.factor_balance =
+      reg->GetGauge("routing_explain_factor_sum", {{"factor", "balance"}});
+  exported_.factor_delay =
+      reg->GetGauge("routing_explain_factor_sum", {{"factor", "delay"}});
+  exported_.factor_intra =
+      reg->GetGauge("routing_explain_factor_sum", {{"factor", "intra"}});
+  exported_.factor_inter =
+      reg->GetGauge("routing_explain_factor_sum", {{"factor", "inter"}});
 }
 
 std::vector<RoutingExplain> SiteSelector::RecentExplains() const {
@@ -77,7 +75,7 @@ void SiteSelector::RecordExplain(const std::vector<PartitionId>& partitions,
                                  const std::vector<SiteId>& masters,
                                  std::vector<SiteScore> scores,
                                  SiteId winner) {
-  if (exported_.explain_decisions != nullptr && winner < scores.size()) {
+  if (winner < scores.size()) {
     const SiteScore& win = scores[winner];
     exported_.explain_decisions->Increment();
     exported_.factor_balance->Add(win.f_balance);
@@ -179,8 +177,7 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
   std::sort(partitions.begin(), partitions.end());
   partitions.erase(std::unique(partitions.begin(), partitions.end()),
                    partitions.end());
-  counters_.write_routes.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.routes_write != nullptr) exported_.routes_write->Increment();
+  exported_.routes_write->Increment();
 
   // Fast path: shared locks in sorted order; single-master write sets
   // route without remastering.
@@ -197,10 +194,7 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
       map_.UnlockShared(*it);
     }
     MaybeSample(client, partitions);
-    counters_.routed_to_site[site]->fetch_add(1, std::memory_order_relaxed);
-    if (!exported_.routed_to_site.empty()) {
-      exported_.routed_to_site[site]->Increment();
-    }
+    exported_.routed_to_site[site]->Increment();
     out->site = site;
     out->min_begin_version = client_session;
     out->remastered = false;
@@ -227,10 +221,7 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
       map_.UnlockExclusive(*it);
     }
     MaybeSample(client, partitions);
-    counters_.routed_to_site[site]->fetch_add(1, std::memory_order_relaxed);
-    if (!exported_.routed_to_site.empty()) {
-      exported_.routed_to_site[site]->Increment();
-    }
+    exported_.routed_to_site[site]->Increment();
     out->site = site;
     out->min_begin_version = client_session;
     out->remastered = false;
@@ -295,14 +286,9 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
   convergence_.OnSlowPathRoute(partitions, masters, dest, slow_start_us,
                                metrics::NowMicros());
   MaybeSample(client, partitions);
-  counters_.remastered_txns.fetch_add(1, std::memory_order_relaxed);
-  counters_.partitions_remastered.fetch_add(moved, std::memory_order_relaxed);
-  counters_.routed_to_site[dest]->fetch_add(1, std::memory_order_relaxed);
-  if (exported_.remaster_txns != nullptr) {
-    exported_.remaster_txns->Increment();
-    exported_.partitions_moved->Increment(moved);
-    exported_.routed_to_site[dest]->Increment();
-  }
+  exported_.remaster_txns->Increment();
+  exported_.partitions_moved->Increment(moved);
+  exported_.routed_to_site[dest]->Increment();
 
   out->site = dest;
   out->min_begin_version =
@@ -375,8 +361,7 @@ Status SiteSelector::RouteRead(ClientId client,
                                const VersionVector& client_session,
                                SiteId* out_site) {
   (void)client;
-  counters_.read_routes.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.routes_read != nullptr) exported_.routes_read->Increment();
+  exported_.routes_read->Increment();
   // Gather sites satisfying the session freshness guarantee; pick one at
   // random (Section IV-B: minimizes blocking and spreads load). If none
   // qualify (selector view may be stale), fall back to the freshest site;

@@ -1,7 +1,6 @@
 #ifndef DYNAMAST_SELECTOR_SITE_SELECTOR_H_
 #define DYNAMAST_SELECTOR_SITE_SELECTOR_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -56,8 +55,8 @@ struct SelectorOptions {
   /// transition must stand unchallenged this long before the episode that
   /// produced it counts as converged.
   uint64_t relocalize_stability_window_us = 500'000;
-  /// Metrics registry to export into; null disables selector metric export
-  /// (series handles stay unresolved).
+  /// Metrics registry to export into; null means
+  /// metrics::Registry::Global().
   metrics::Registry* metrics = nullptr;
   /// Tracer for routing spans; null disables span recording.
   trace::Tracer* tracer = nullptr;
@@ -74,28 +73,6 @@ struct RoutingExplain {
   std::vector<SiteId> masters;  // pre-decision masters, parallel to partitions
   std::vector<SiteScore> scores;  // one per candidate site, in site order
   SiteId winner = kInvalidSite;
-};
-
-/// Aggregate selector counters for the evaluation (remastering frequency,
-/// routing skew).
-struct SelectorCounters {
-  std::atomic<uint64_t> write_routes{0};
-  std::atomic<uint64_t> read_routes{0};
-  std::atomic<uint64_t> remastered_txns{0};
-  std::atomic<uint64_t> partitions_remastered{0};
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> routed_to_site;
-
-  explicit SelectorCounters(uint32_t num_sites) {
-    for (uint32_t i = 0; i < num_sites; ++i) {
-      routed_to_site.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    }
-  }
-  double RemasterFraction() const {
-    const uint64_t routes = write_routes.load(std::memory_order_relaxed);
-    return routes == 0 ? 0.0
-                       : static_cast<double>(remastered_txns.load(std::memory_order_relaxed)) /
-                             static_cast<double>(routes);
-  }
 };
 
 /// SiteSelector routes transactions and remasters data (Sections III-B,
@@ -135,7 +112,6 @@ class SiteSelector {
   PartitionMap& partition_map() { return map_; }
   AccessStatistics& statistics() { return *stats_; }
   RemasterStrategy& strategy() { return strategy_; }
-  SelectorCounters& counters() { return counters_; }
 
   /// Time-to-relocalize tracking over slow-path remastering decisions
   /// (DESIGN.md, "Timelines & convergence tracking"). Benches Flush() it
@@ -175,8 +151,7 @@ class SiteSelector {
                      std::vector<SiteScore> scores, SiteId winner)
       DYNAMAST_EXCLUDES(explain_mu_);
 
-  // Exported metric handles, resolved once at construction (null without
-  // a registry).
+  // Metric handles, resolved once at construction.
   struct ExportedMetrics {
     metrics::Counter* routes_write = nullptr;
     metrics::Counter* routes_read = nullptr;
@@ -200,7 +175,6 @@ class SiteSelector {
   PartitionMap map_;
   std::unique_ptr<AccessStatistics> stats_;
   RemasterStrategy strategy_;
-  SelectorCounters counters_;
   ConvergenceTracker convergence_;
 
   mutable DebugMutex rng_mu_{"selector.rng"};

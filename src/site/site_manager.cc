@@ -6,7 +6,6 @@
 
 #include "common/invariant_checker.h"
 #include "common/scheduler.h"
-#include "common/latency_recorder.h"
 
 namespace dynamast::site {
 
@@ -35,7 +34,7 @@ SiteManager::SiteManager(const SiteOptions& options,
       gate_(options.worker_slots),
       clock_(metrics),
       svv_(options.num_sites) {
-  if (metrics == nullptr) return;
+  metrics = metrics::Registry::OrGlobal(metrics);
   const std::string site = std::to_string(options_.site_id);
   exported_.commits_update = metrics->GetCounter(
       "site_commits_total", {{"site", site}, {"kind", "update"}});
@@ -82,22 +81,15 @@ void SiteManager::InstallVersion(const RecordKey& key, SiteId origin,
 }
 
 void SiteManager::FlushInstallMetrics(const InstallBatch& batch) {
-  if (exported_.version_chain_len != nullptr) {
-    for (size_t len : batch.chain_lens) {
-      exported_.version_chain_len->Observe(static_cast<uint64_t>(len));
-    }
+  for (size_t len : batch.chain_lens) {
+    exported_.version_chain_len->Observe(static_cast<uint64_t>(len));
   }
-  if (batch.pruned > 0 && exported_.pruned_versions != nullptr) {
-    exported_.pruned_versions->Increment(batch.pruned);
-  }
+  if (batch.pruned > 0) exported_.pruned_versions->Increment(batch.pruned);
 }
 
 void SiteManager::CountAbort(const Status& reason) {
-  counters_.aborts.fetch_add(1, std::memory_order_relaxed);
   const size_t code = static_cast<size_t>(reason.code());
-  if (code < kNumStatusCodes && exported_.aborts_by_reason[code] != nullptr) {
-    exported_.aborts_by_reason[code]->Increment();
-  }
+  if (code < kNumStatusCodes) exported_.aborts_by_reason[code]->Increment();
 }
 
 SiteManager::~SiteManager() { Stop(); }
@@ -173,13 +165,10 @@ Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   if (!opts.min_begin_version.empty()) {
     // Strong-session freshness wait: how long this site lagged behind the
     // session's observed frontier (the visible symptom of refresh delay).
-    trace::Span span(tracer_, "vv_wait", "txn", options_.site_id, opts.client);
+    trace::Span span(tracer_, "vv_wait", "txn", options_.site_id, opts.client,
+                     exported_.vv_wait_us);
     span.SetTxn(opts.client, opts.client_txn);
-    Stopwatch watch;
     Status s = WaitForVersion(opts.min_begin_version);
-    if (exported_.vv_wait_us != nullptr) {
-      exported_.vv_wait_us->Observe(watch.ElapsedMicros());
-    }
     if (!s.ok()) return s;
   }
 
@@ -244,13 +233,9 @@ Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   Status s;
   {
     trace::Span span(tracer_, "lock_wait", "txn", options_.site_id,
-                     opts.client);
+                     opts.client, exported_.lock_wait_us);
     span.SetTxn(opts.client, opts.client_txn);
-    Stopwatch watch;
     s = engine_.lock_manager().AcquireAll(opts.write_keys, txn->id_, deadline);
-    if (exported_.lock_wait_us != nullptr) {
-      exported_.lock_wait_us->Observe(watch.ElapsedMicros());
-    }
   }
   if (!s.ok()) {
     MutexLock guard(state_mu_);
@@ -388,9 +373,7 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
       event.commit = *commit_version;
       history_->Record(std::move(event));
     }
-    if (exported_.commits_readonly != nullptr) {
-      exported_.commits_readonly->Increment();
-    }
+    exported_.commits_readonly->Increment();
     return Status::OK();
   }
 
@@ -464,10 +447,7 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
 
   FlushInstallMetrics(installs);
   engine_.lock_manager().ReleaseAll(txn->locked_keys_, txn->id_);
-  counters_.local_commits.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.commits_update != nullptr) {
-    exported_.commits_update->Increment();
-  }
+  exported_.commits_update->Increment();
   return Status::OK();
 }
 
@@ -583,8 +563,7 @@ Status SiteManager::Release(const std::vector<PartitionId>& partitions,
       history_->Record(std::move(event));
     }
   }
-  counters_.releases.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.releases != nullptr) exported_.releases->Increment();
+  exported_.releases->Increment();
   return Status::OK();
 }
 
@@ -632,14 +611,11 @@ Status SiteManager::Grant(const std::vector<PartitionId>& partitions,
     }
     for (PartitionId p : partitions) mastered_.insert(p);
   }
-  counters_.grants.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.grants != nullptr) exported_.grants->Increment();
+  exported_.grants->Increment();
   // Each granted partition is one mastership transition (the convergence
   // tracker's per-partition unit; si_checker reconciles this against the
   // history's grant events).
-  if (exported_.mastership_transitions != nullptr) {
-    exported_.mastership_transitions->Increment(partitions.size());
-  }
+  exported_.mastership_transitions->Increment(partitions.size());
   return Status::OK();
 }
 
@@ -697,11 +673,8 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
   // visible to waiters, and the histogram leaf locks stay out of the
   // applier's critical section.
   FlushInstallMetrics(installs);
-  counters_.refresh_applied.fetch_add(1, std::memory_order_relaxed);
-  if (exported_.refresh_applied != nullptr) {
-    exported_.refresh_applied->Increment();
-  }
-  if (exported_.refresh_delay_us != nullptr && record.append_ts_us > 0) {
+  exported_.refresh_applied->Increment();
+  if (record.append_ts_us > 0) {
     // End-to-end refresh delay: origin append to local visibility. Both
     // ends use the shared process clock (metrics::NowMicros), so the
     // difference is exact; clamp anyway in case of sub-microsecond skew.

@@ -29,16 +29,6 @@
 
 namespace dynamast::site {
 
-/// Counters a data site exposes for the evaluation (remastering frequency,
-/// commit counts, refresh lag).
-struct SiteCounters {
-  std::atomic<uint64_t> local_commits{0};
-  std::atomic<uint64_t> refresh_applied{0};
-  std::atomic<uint64_t> releases{0};
-  std::atomic<uint64_t> grants{0};
-  std::atomic<uint64_t> aborts{0};
-};
-
 /// SiteManager is one data site of the replicated system: the integrated
 /// site manager + database + replication manager component of Section V-A.
 /// It owns the site's storage engine and site version vector, executes
@@ -55,8 +45,7 @@ class SiteManager {
   /// must outlive the site. `logs` may be shared with peer sites;
   /// `network` may be null for pure-logic tests (no traffic accounting);
   /// `history` may be null (no history recording) or a recorder shared
-  /// with peer sites; `metrics` may be null (no metric export — series
-  /// handles stay unresolved and every instrumentation point is skipped);
+  /// with peer sites; `metrics` may be null (metrics::Registry::Global());
   /// `tracer` may be null (no span recording).
   SiteManager(const SiteOptions& options, const Partitioner* partitioner,
               log::LogManager* logs, net::SimulatedNetwork* network,
@@ -79,7 +68,6 @@ class SiteManager {
   const SiteOptions& options() const { return options_; }
   storage::StorageEngine& engine() { return engine_; }
   AdmissionGate& gate() { return gate_; }
-  SiteCounters& counters() { return counters_; }
   history::Recorder* history() const { return history_; }
 
   /// Current site version vector (copy).
@@ -226,16 +214,15 @@ class SiteManager {
   // Observes the accumulated install outcomes. Call without state_mu_.
   void FlushInstallMetrics(const InstallBatch& batch);
 
-  // Counts one abort in both the legacy counter and the per-reason
-  // taxonomy metric.
+  // Counts one abort in the per-reason taxonomy metric.
   void CountAbort(const Status& reason);
 
   static constexpr size_t kNumStatusCodes =
       static_cast<size_t>(Status::Code::kInternal) + 1;
 
-  // Exported metric handles, resolved once at construction (null when the
-  // site was built without a registry). Pointers are stable for the
-  // registry's lifetime, so the hot path never takes the registry lock.
+  // Metric handles, resolved once at construction. Pointers are stable
+  // for the registry's lifetime, so the hot path never takes the registry
+  // lock.
   struct ExportedMetrics {
     metrics::Counter* commits_update = nullptr;
     metrics::Counter* commits_readonly = nullptr;
@@ -261,7 +248,6 @@ class SiteManager {
 
   storage::StorageEngine engine_;
   AdmissionGate gate_;
-  SiteCounters counters_;
   sim::SimClock clock_;
 
   mutable DebugMutex state_mu_{"site.state"};

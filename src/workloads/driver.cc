@@ -37,17 +37,6 @@ Driver::Report Driver::Run(core::SystemInterface& system, Workload& workload) {
   const auto end = measure_start + options_.measure;
   report.seconds = std::chrono::duration<double>(options_.measure).count();
 
-  const size_t timeline_buckets =
-      options_.timeline_resolution.count() > 0
-          ? static_cast<size_t>(
-                (options_.warmup + options_.measure + std::chrono::milliseconds(
-                                                          999)) /
-                options_.timeline_resolution) +
-                1
-          : 0;
-  // Relaxed tallies: read only after the client threads are joined.
-  std::vector<std::atomic<uint64_t>> timeline(timeline_buckets);
-
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
   clients.reserve(options_.num_clients);
@@ -74,13 +63,6 @@ Driver::Report Driver::Run(core::SystemInterface& system, Workload& workload) {
         Status s = system.Execute(client, txn.profile, txn.logic, &result);
         const auto now = std::chrono::steady_clock::now();
         if (!fixed_ops && now >= end) break;
-        if (s.ok() && timeline_buckets > 0) {
-          const size_t bucket = static_cast<size_t>(
-              (now - start) / options_.timeline_resolution);
-          if (bucket < timeline_buckets) {
-            timeline[bucket].fetch_add(1, std::memory_order_relaxed);
-          }
-        }
         if (!fixed_ops && now < measure_start) continue;  // warmup
         if (s.ok()) {
           ++committed;
@@ -146,11 +128,6 @@ Driver::Report Driver::Run(core::SystemInterface& system, Workload& workload) {
     for (auto& t : clients) t.join();
   }
   if (fixed_ops) report.seconds = run_watch.ElapsedMicros() / 1e6;
-
-  if (timeline_buckets > 0) {
-    report.timeline.reserve(timeline_buckets);
-    for (const auto& bucket : timeline) report.timeline.push_back(bucket.load(std::memory_order_relaxed));
-  }
 
   // Driver-level metric export: bumped once per run from the merged
   // report, so series values equal the report exactly.

@@ -20,18 +20,14 @@ namespace dynamast::workloads {
 /// session and a workload generator and issue transactions back-to-back
 /// (the OLTPBench-style harness of Section VI-A2, scaled down). Latencies
 /// and throughput are recorded only inside the measurement window (after
-/// warmup); an optional per-interval timeline supports the adaptivity
-/// experiment, and scheduled actions let an experiment mutate the workload
-/// mid-run (e.g. shuffle YCSB correlations).
+/// warmup); scheduled actions let an experiment mutate the workload mid-run
+/// (e.g. shuffle YCSB correlations).
 class Driver {
  public:
   struct Options {
     uint32_t num_clients = 32;
     std::chrono::milliseconds warmup{1000};
     std::chrono::milliseconds measure{3000};
-    /// If > 0, committed-transaction counts are bucketed by completion
-    /// time over the whole run (warmup included) at this resolution.
-    std::chrono::milliseconds timeline_resolution{0};
     /// Actions fired at fixed offsets from the start of the run.
     std::vector<std::pair<std::chrono::milliseconds, std::function<void()>>>
         scheduled_actions;
@@ -64,8 +60,6 @@ class Driver {
     std::map<std::string, uint64_t> aborted_by_reason;
     std::map<std::string, uint64_t> committed_by_type;
     std::map<std::string, std::unique_ptr<LatencyRecorder>> latency_by_type;
-    /// Committed transactions per timeline bucket (whole run).
-    std::vector<uint64_t> timeline;
 
     const LatencyRecorder* LatencyFor(const std::string& type) const {
       auto it = latency_by_type.find(type);

@@ -30,14 +30,24 @@ uint64_t AsNum(const std::string& s) {
   return v;
 }
 
-core::Cluster::Options FastCluster(uint32_t sites) {
+core::Cluster::Options FastCluster(uint32_t sites,
+                                   metrics::Registry* registry = nullptr) {
   core::Cluster::Options options;
   options.num_sites = sites;
+  options.metrics = registry;
   options.network.charge_delays = false;
   options.site.read_op_cost = options.site.write_op_cost =
       options.site.apply_op_cost = std::chrono::microseconds(0);
   options.site.worker_slots = 8;
   return options;
+}
+
+uint64_t PartitionedTxns(const metrics::Registry& registry, const char* kind) {
+  return registry.CounterValue("partitioned_txns_total", {{"kind", kind}});
+}
+
+uint64_t ShippedPartitions(const metrics::Registry& registry) {
+  return registry.CounterValue("leap_shipped_partitions_total");
 }
 
 template <typename System>
@@ -73,9 +83,10 @@ core::TxnLogic TransferLogic(uint64_t a, uint64_t b, uint64_t amount) {
 
 TEST(MultiMasterTest, LocalWriteWhenWriteSetSingleSited) {
   RangePartitioner partitioner(10, 10);
+  metrics::Registry registry;
   // Explicit chunk of 5: partitions 0-4 -> site 0, 5-9 -> site 1.
   auto options = PartitionedSystem::MultiMaster(
-      FastCluster(2), RangePlacement(10, 2, /*chunk=*/5));
+      FastCluster(2, &registry), RangePlacement(10, 2, /*chunk=*/5));
   PartitionedSystem system(options, &partitioner);
   LoadKeys(system, 100, 100);
   core::ClientState client;
@@ -88,14 +99,15 @@ TEST(MultiMasterTest, LocalWriteWhenWriteSetSingleSited) {
                            TransferLogic(5, 15, 10), &result)
                   .ok());
   EXPECT_FALSE(result.distributed);
-  EXPECT_EQ(system.single_site_txns(), 1u);
-  EXPECT_EQ(system.distributed_txns(), 0u);
+  EXPECT_EQ(PartitionedTxns(registry, "single_site"), 1u);
+  EXPECT_EQ(PartitionedTxns(registry, "distributed"), 0u);
   system.Shutdown();
 }
 
 TEST(MultiMasterTest, DistributedWriteUses2pc) {
   RangePartitioner partitioner(10, 10);
-  auto options = PartitionedSystem::MultiMaster(FastCluster(2),
+  metrics::Registry registry;
+  auto options = PartitionedSystem::MultiMaster(FastCluster(2, &registry),
                                                 RangePlacement(10, 2));
   PartitionedSystem system(options, &partitioner);
   LoadKeys(system, 100, 100);
@@ -108,7 +120,7 @@ TEST(MultiMasterTest, DistributedWriteUses2pc) {
                            TransferLogic(5, 95, 10), &result)
                   .ok());
   EXPECT_TRUE(result.distributed);
-  EXPECT_EQ(system.distributed_txns(), 1u);
+  EXPECT_EQ(PartitionedTxns(registry, "distributed"), 1u);
 
   // Both writes are visible to a subsequent read-only transaction of the
   // same session (replicas + session freshness).
@@ -296,9 +308,10 @@ TEST(PartitionStoreTest, DistributedWriteCommitsAtomically) {
 // ---- LEAP ---------------------------------------------------------------------
 
 TEST(LeapTest, ShipsPartitionsToExecutionSite) {
+  metrics::Registry registry;
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
@@ -313,8 +326,8 @@ TEST(LeapTest, ShipsPartitionsToExecutionSite) {
                   .Execute(client, TransferProfile(5, 95),
                            TransferLogic(5, 95, 10), &result)
                   .ok());
-  EXPECT_GE(system.partitions_shipped(), 1u);
-  EXPECT_GT(system.bytes_shipped(), 0u);
+  EXPECT_GE(ShippedPartitions(registry), 1u);
+  EXPECT_GT(registry.CounterValue("leap_shipped_bytes_total"), 0u);
   // Both partitions now owned at the execution site.
   EXPECT_EQ(system.OwnerOf(0), result.executed_at);
   EXPECT_EQ(system.OwnerOf(9), result.executed_at);
@@ -328,9 +341,10 @@ TEST(LeapTest, ShipsPartitionsToExecutionSite) {
 }
 
 TEST(LeapTest, ReadOnlyTransactionsAlsoLocalize) {
+  metrics::Registry registry;
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
@@ -355,14 +369,15 @@ TEST(LeapTest, ReadOnlyTransactionsAlsoLocalize) {
   core::TxnResult result;
   ASSERT_TRUE(system.Execute(client, read, logic, &result).ok());
   EXPECT_EQ(total, 10u);
-  EXPECT_GE(system.partitions_shipped(), 1u);  // no replicas: must ship
+  EXPECT_GE(ShippedPartitions(registry), 1u);  // no replicas: must ship
   system.Shutdown();
 }
 
 TEST(LeapTest, RepeatedAccessAmortizesShipping) {
+  metrics::Registry registry;
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
@@ -374,19 +389,20 @@ TEST(LeapTest, RepeatedAccessAmortizesShipping) {
                   .Execute(client, TransferProfile(5, 95),
                            TransferLogic(5, 95, 1), &r1)
                   .ok());
-  const uint64_t after_first = system.partitions_shipped();
+  const uint64_t after_first = ShippedPartitions(registry);
   ASSERT_TRUE(system
                   .Execute(client, TransferProfile(5, 95),
                            TransferLogic(5, 95, 1), &r2)
                   .ok());
-  EXPECT_EQ(system.partitions_shipped(), after_first);  // already local
+  EXPECT_EQ(ShippedPartitions(registry), after_first);  // already local
   system.Shutdown();
 }
 
 TEST(LeapTest, StaticPartitionsNeverShipped) {
+  metrics::Registry registry;
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
@@ -412,7 +428,7 @@ TEST(LeapTest, StaticPartitionsNeverShipped) {
   };
   core::TxnResult result;
   ASSERT_TRUE(system.Execute(client, profile, logic, &result).ok());
-  EXPECT_EQ(system.partitions_shipped(), 0u);
+  EXPECT_EQ(ShippedPartitions(registry), 0u);
   system.Shutdown();
 }
 
@@ -424,9 +440,10 @@ TEST(LeapTest, StaticPartitionsNeverShipped) {
 // forth: each transaction writes one hot key plus two keys of partitions
 // its client's site owns, so it always executes at that site.
 TEST(LeapTest, LocalizedPartitionsStayUntilBegin) {
+  metrics::Registry registry;
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.cluster.network.charge_delays = true;
   options.cluster.network.one_way_latency = std::chrono::microseconds(200);
   options.placement = RangePlacement(10, 2);  // 0-4 -> site 0, 5-9 -> site 1
@@ -471,7 +488,7 @@ TEST(LeapTest, LocalizedPartitionsStayUntilBegin) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(not_master_retries.load(), 0u);
-  EXPECT_GT(system.partitions_shipped(), 0u);
+  EXPECT_GT(ShippedPartitions(registry), 0u);
   system.Shutdown();
 }
 
@@ -481,8 +498,9 @@ TEST(LeapTest, ClusterRunsNoRefreshAppliers) {
   // re-applying an old remote commit after a partition shipped in would
   // shadow the freshly copied rows (versions append newest-at-back).
   RangePartitioner partitioner(4, 4);
+  metrics::Registry registry;
   LeapSystem::Options options;
-  options.cluster = FastCluster(2);
+  options.cluster = FastCluster(2, &registry);
   options.placement = RangePlacement(4, 2);
   LeapSystem system(options, &partitioner);
   LoadKeys(system, 16, 100);
@@ -506,7 +524,9 @@ TEST(LeapTest, ClusterRunsNoRefreshAppliers) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   // No replicas: site 1 must never apply site 0's commit.
-  EXPECT_EQ(system.cluster().site(1)->counters().refresh_applied.load(), 0u);
+  EXPECT_EQ(
+      registry.CounterValue("site_refresh_applied_total", {{"site", "1"}}),
+      0u);
   EXPECT_EQ(system.cluster().site(1)->CurrentVersion()[0], 0u);
   system.Shutdown();
 }

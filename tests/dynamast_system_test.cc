@@ -20,9 +20,11 @@ namespace {
 
 constexpr TableId kTable = 0;
 
-DynaMastSystem::Options FastOptions(uint32_t sites) {
+DynaMastSystem::Options FastOptions(uint32_t sites,
+                                    metrics::Registry* registry = nullptr) {
   DynaMastSystem::Options options;
   options.cluster.num_sites = sites;
+  options.cluster.metrics = registry;
   options.cluster.network.charge_delays = false;
   options.cluster.site.read_op_cost = options.cluster.site.write_op_cost =
       options.cluster.site.apply_op_cost = std::chrono::microseconds(0);
@@ -45,7 +47,7 @@ class DynaMastFixture : public ::testing::Test {
   void Init(uint32_t sites, uint64_t keys, uint64_t keys_per_partition) {
     partitioner_ = std::make_unique<RangePartitioner>(
         keys_per_partition, (keys + keys_per_partition - 1) / keys_per_partition);
-    system_ = std::make_unique<DynaMastSystem>(FastOptions(sites),
+    system_ = std::make_unique<DynaMastSystem>(FastOptions(sites, &registry_),
                                                partitioner_.get());
     ASSERT_TRUE(system_->CreateTable(kTable).ok());
     for (uint64_t key = 0; key < keys; ++key) {
@@ -56,6 +58,10 @@ class DynaMastFixture : public ::testing::Test {
 
   void TearDown() override {
     if (system_) system_->Shutdown();
+  }
+
+  uint64_t Remastered() const {
+    return registry_.CounterValue("selector_remaster_total");
   }
 
   Status Increment(ClientState& client, const std::vector<uint64_t>& keys,
@@ -95,6 +101,7 @@ class DynaMastFixture : public ::testing::Test {
     return out;
   }
 
+  metrics::Registry registry_;
   std::unique_ptr<RangePartitioner> partitioner_;
   std::unique_ptr<DynaMastSystem> system_;
 };
@@ -256,13 +263,12 @@ TEST_F(DynaMastFixture, WorkloadLocalityConcentratesMastership) {
     EXPECT_EQ(system_->site_selector().partition_map().MasterOfLocked(p), owner);
   }
   // And remastering stopped happening (amortized).
-  const auto& counters = system_->site_selector().counters();
-  EXPECT_LE(counters.remastered_txns.load(), 2u);
+  EXPECT_LE(Remastered(), 2u);
 }
 
 TEST_F(DynaMastFixture, SingleMasterConfigurationNeverRemasters) {
   DynaMastSystem::Options options =
-      DynaMastSystem::SingleMasterOptions(FastOptions(3));
+      DynaMastSystem::SingleMasterOptions(FastOptions(3, &registry_));
   partitioner_ = std::make_unique<RangePartitioner>(10, 10);
   system_ = std::make_unique<DynaMastSystem>(options, partitioner_.get());
   ASSERT_TRUE(system_->CreateTable(kTable).ok());
@@ -280,7 +286,7 @@ TEST_F(DynaMastFixture, SingleMasterConfigurationNeverRemasters) {
     EXPECT_EQ(result.executed_at, 0u);  // all writes at the master site
     EXPECT_FALSE(result.remastered);
   }
-  EXPECT_EQ(system_->site_selector().counters().remastered_txns.load(), 0u);
+  EXPECT_EQ(Remastered(), 0u);
   // Let replicas catch up so they qualify as session-fresh read targets.
   const VersionVector master_version =
       system_->cluster().site(0)->CurrentVersion();
@@ -304,7 +310,7 @@ TEST_F(DynaMastFixture, SingleMasterConfigurationNeverRemasters) {
 }
 
 TEST_F(DynaMastFixture, CustomPlacementRespected) {
-  DynaMastSystem::Options options = FastOptions(2);
+  DynaMastSystem::Options options = FastOptions(2, &registry_);
   options.placement = InitialPlacement::kCustom;
   options.custom_placement = {1, 1, 1, 1, 1, 0, 0, 0, 0, 0};
   partitioner_ = std::make_unique<RangePartitioner>(10, 10);

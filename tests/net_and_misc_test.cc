@@ -1,5 +1,5 @@
 // Tests for the simulated network, admission gate, partitioners, the
-// system factory and the DynaMast phase instrumentation.
+// system factory and the DynaMast phase timers.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/latency_recorder.h"
+#include "common/metrics.h"
 #include "common/partitioner.h"
 #include "core/dynamast_system.h"
 #include "net/sim_network.h"
@@ -20,44 +21,68 @@ namespace {
 
 // ---- SimulatedNetwork --------------------------------------------------
 
+// Per-class and all-class reads of the net_messages_total /
+// net_bytes_total families.
+uint64_t ClassCount(const metrics::Registry& registry, const char* family,
+                    net::TrafficClass c) {
+  return registry.CounterValue(family, {{"class", net::TrafficClassName(c)}});
+}
+uint64_t Messages(const metrics::Registry& registry, net::TrafficClass c) {
+  return ClassCount(registry, "net_messages_total", c);
+}
+uint64_t Bytes(const metrics::Registry& registry, net::TrafficClass c) {
+  return ClassCount(registry, "net_bytes_total", c);
+}
+uint64_t TotalCount(const metrics::Registry& registry, const char* family) {
+  uint64_t total = 0;
+  for (int c = 0; c < static_cast<int>(net::TrafficClass::kNumClasses); ++c) {
+    total += ClassCount(registry, family, static_cast<net::TrafficClass>(c));
+  }
+  return total;
+}
+
 TEST(SimulatedNetworkTest, CountsMessagesAndBytes) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.charge_delays = false;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   network.Send(net::TrafficClass::kPropagation, 1000);
   network.Send(net::TrafficClass::kPropagation, 500);
   network.Send(net::TrafficClass::kRemastering, 64);
-  EXPECT_EQ(network.MessageCount(net::TrafficClass::kPropagation), 2u);
-  EXPECT_EQ(network.ByteCount(net::TrafficClass::kPropagation), 1500u);
-  EXPECT_EQ(network.MessageCount(net::TrafficClass::kRemastering), 1u);
-  EXPECT_EQ(network.TotalMessages(), 3u);
-  EXPECT_EQ(network.TotalBytes(), 1564u);
+  EXPECT_EQ(Messages(registry, net::TrafficClass::kPropagation), 2u);
+  EXPECT_EQ(Bytes(registry, net::TrafficClass::kPropagation), 1500u);
+  EXPECT_EQ(Messages(registry, net::TrafficClass::kRemastering), 1u);
+  EXPECT_EQ(TotalCount(registry, "net_messages_total"), 3u);
+  EXPECT_EQ(TotalCount(registry, "net_bytes_total"), 1564u);
 }
 
 TEST(SimulatedNetworkTest, RoundTripIsTwoMessages) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.charge_delays = false;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   network.RoundTrip(net::TrafficClass::kClientRequest, 100, 50);
-  EXPECT_EQ(network.MessageCount(net::TrafficClass::kClientRequest), 2u);
-  EXPECT_EQ(network.ByteCount(net::TrafficClass::kClientRequest), 150u);
+  EXPECT_EQ(Messages(registry, net::TrafficClass::kClientRequest), 2u);
+  EXPECT_EQ(Bytes(registry, net::TrafficClass::kClientRequest), 150u);
 }
 
 TEST(SimulatedNetworkTest, ChargesLatencyWhenEnabled) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.one_way_latency = std::chrono::microseconds(2000);
   options.charge_delays = true;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   Stopwatch watch;
   network.Send(net::TrafficClass::kClientRequest, 10);
   EXPECT_GE(watch.ElapsedMicros(), 2000u);
 }
 
 TEST(SimulatedNetworkTest, NoDelayWhenDisabled) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.one_way_latency = std::chrono::seconds(10);
   options.charge_delays = false;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   Stopwatch watch;
   network.Send(net::TrafficClass::kClientRequest, 10);
   EXPECT_LT(watch.ElapsedMicros(), 1000000u);
@@ -67,12 +92,13 @@ TEST(SimulatedNetworkTest, SerializedLinkQueuesSenders) {
   // With serialize_link, concurrent senders queue for the shared wire:
   // total wall time is at least the *sum* of transmission costs, where
   // the default (parallel-bandwidth) model overlaps them.
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.one_way_latency = std::chrono::microseconds(0);
   options.per_kilobyte = std::chrono::nanoseconds(2'000'000);  // 2ms per KB
   options.charge_delays = true;
   options.serialize_link = true;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   constexpr int kSenders = 4;
   Stopwatch watch;
   std::vector<std::thread> senders;
@@ -83,27 +109,32 @@ TEST(SimulatedNetworkTest, SerializedLinkQueuesSenders) {
   for (auto& t : senders) t.join();
   // 4 messages x 1KB x 2ms, serialized: >= 8ms end to end.
   EXPECT_GE(watch.ElapsedMicros(), 8000u);
-  EXPECT_EQ(network.MessageCount(net::TrafficClass::kPropagation), 4u);
+  EXPECT_EQ(Messages(registry, net::TrafficClass::kPropagation), 4u);
 }
 
 TEST(SimulatedNetworkTest, ResetClearsCounters) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.charge_delays = false;
-  net::SimulatedNetwork network(options);
+  net::SimulatedNetwork network(options, &registry);
   network.Send(net::TrafficClass::kDataShipping, 9);
-  network.ResetCounters();
-  EXPECT_EQ(network.TotalMessages(), 0u);
-  EXPECT_EQ(network.TotalBytes(), 0u);
+  registry.ResetValues();
+  EXPECT_EQ(TotalCount(registry, "net_messages_total"), 0u);
+  EXPECT_EQ(TotalCount(registry, "net_bytes_total"), 0u);
+  // Handles survive the reset: the network keeps counting.
+  network.Send(net::TrafficClass::kDataShipping, 9);
+  EXPECT_EQ(TotalCount(registry, "net_messages_total"), 1u);
 }
 
-TEST(SimulatedNetworkTest, ReportNamesEveryClass) {
+TEST(SimulatedNetworkTest, ExportsEveryClass) {
+  metrics::Registry registry;
   net::SimulatedNetwork::Options options;
   options.charge_delays = false;
-  net::SimulatedNetwork network(options);
-  const std::string report = network.ReportCounters();
+  net::SimulatedNetwork network(options, &registry);
+  const std::string snapshot = registry.SnapshotJson();
   for (const char* name : {"client_request", "propagation", "remastering",
                            "coordination", "data_shipping"}) {
-    EXPECT_NE(report.find(name), std::string::npos) << name;
+    EXPECT_NE(snapshot.find(name), std::string::npos) << name;
   }
 }
 
@@ -224,10 +255,12 @@ TEST(SystemFactoryTest, NamesAreDistinct) {
 
 // ---- Phase instrumentation ---------------------------------------------------
 
-TEST(PhaseStatsTest, WriteTransactionRecordsAllPhases) {
+TEST(TxnPhaseTest, WriteTransactionRecordsAllPhases) {
   RangePartitioner partitioner(10, 10);
+  metrics::Registry registry;
   core::DynaMastSystem::Options options;
   options.cluster.num_sites = 2;
+  options.cluster.metrics = &registry;
   options.cluster.network.charge_delays = false;
   options.cluster.site.read_op_cost = options.cluster.site.write_op_cost =
       options.cluster.site.apply_op_cost = std::chrono::microseconds(0);
@@ -248,11 +281,20 @@ TEST(PhaseStatsTest, WriteTransactionRecordsAllPhases) {
                            },
                            &result)
                   .ok());
-  EXPECT_EQ(system.phase_stats().routing.count(), 1u);
-  EXPECT_EQ(system.phase_stats().network.count(), 1u);
-  EXPECT_EQ(system.phase_stats().begin.count(), 1u);
-  EXPECT_EQ(system.phase_stats().logic.count(), 1u);
-  EXPECT_EQ(system.phase_stats().commit.count(), 1u);
+  auto count = [&](const char* phase) {
+    return registry.HistogramRecorder("txn_phase_us", {{"phase", phase}})
+        ->count();
+  };
+  EXPECT_EQ(count("route"), 1u);
+  // One observation per client RPC: to the selector, then to the site.
+  EXPECT_EQ(count("network"), 2u);
+  EXPECT_EQ(count("begin"), 1u);
+  EXPECT_EQ(count("execute"), 1u);
+  EXPECT_EQ(count("commit"), 1u);
+  // The slot wait is the site's own admission histogram.
+  const metrics::Labels site = {{"site", std::to_string(result.executed_at)}};
+  EXPECT_EQ(registry.HistogramRecorder("site_admission_wait_us", site)->count(),
+            1u);
   system.Shutdown();
 }
 

@@ -29,11 +29,13 @@ class ReplicaSelectorFixture : public ::testing::Test {
       options.read_op_cost = options.write_op_cost = options.apply_op_cost =
           std::chrono::microseconds(0);
       sites_.push_back(std::make_unique<site::SiteManager>(
-          options, partitioner_.get(), logs_.get(), nullptr));
+          options, partitioner_.get(), logs_.get(), nullptr, nullptr,
+          &registry_));
       ASSERT_TRUE(sites_.back()->CreateTable(kTable).ok());
     }
     SelectorOptions options;
     options.num_sites = 2;
+    options.metrics = &registry_;
     master_ = std::make_unique<SiteSelector>(
         options,
         std::vector<site::SiteManager*>{sites_[0].get(), sites_[1].get()},
@@ -42,8 +44,8 @@ class ReplicaSelectorFixture : public ::testing::Test {
     std::vector<SiteId> placement = {0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
     master_->InstallPlacement(placement);
     for (auto& s : sites_) s->Start();
-    replica_ = std::make_unique<ReplicaSiteSelector>(master_.get(),
-                                                     partitioner_.get());
+    replica_ = std::make_unique<ReplicaSiteSelector>(
+        master_.get(), partitioner_.get(), &registry_);
   }
 
   void TearDown() override {
@@ -51,6 +53,15 @@ class ReplicaSelectorFixture : public ::testing::Test {
     for (auto& s : sites_) s->Stop();
   }
 
+  uint64_t Routes(const char* kind) const {
+    return registry_.CounterValue("replica_selector_routes_total",
+                                  {{"kind", kind}});
+  }
+  uint64_t Syncs() const {
+    return registry_.CounterValue("replica_selector_syncs_total");
+  }
+
+  metrics::Registry registry_;
   std::unique_ptr<RangePartitioner> partitioner_;
   std::unique_ptr<log::LogManager> logs_;
   std::vector<std::unique_ptr<site::SiteManager>> sites_;
@@ -66,10 +77,12 @@ TEST_F(ReplicaSelectorFixture, RoutesSingleSitedLocally) {
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(route.site, 0u);
   EXPECT_FALSE(route.remastered);
-  EXPECT_EQ(replica_->local_routes(), 1u);
-  EXPECT_EQ(replica_->fallbacks(), 0u);
+  EXPECT_EQ(Routes("local"), 1u);
+  EXPECT_EQ(Routes("fallback"), 0u);
   // The master selector was not involved.
-  EXPECT_EQ(master_->counters().write_routes.load(), 0u);
+  EXPECT_EQ(
+      registry_.CounterValue("selector_routes_total", {{"kind", "write"}}),
+      0u);
 }
 
 TEST_F(ReplicaSelectorFixture, FallsBackForDistributedWriteSets) {
@@ -78,7 +91,7 @@ TEST_F(ReplicaSelectorFixture, FallsBackForDistributedWriteSets) {
       1, {RecordKey{kTable, 5}, RecordKey{kTable, 55}}, VersionVector(2),
       &route);
   EXPECT_TRUE(s.IsUnavailable());
-  EXPECT_EQ(replica_->fallbacks(), 1u);
+  EXPECT_EQ(Routes("fallback"), 1u);
   // The master handles it (and remasters).
   ASSERT_TRUE(master_
                   ->RouteWrite(1, {RecordKey{kTable, 5}, RecordKey{kTable, 55}},
@@ -128,13 +141,14 @@ TEST_F(ReplicaSelectorFixture, ReadRoutingDelegates) {
   SiteId site = kInvalidSite;
   ASSERT_TRUE(replica_->RouteRead(1, VersionVector(), &site).ok());
   EXPECT_LT(site, 2u);
-  EXPECT_EQ(master_->counters().read_routes.load(), 1u);
+  EXPECT_EQ(
+      registry_.CounterValue("selector_routes_total", {{"kind", "read"}}), 1u);
 }
 
 TEST_F(ReplicaSelectorFixture, SyncCountsTracked) {
-  const uint64_t before = replica_->syncs();
+  const uint64_t before = Syncs();
   replica_->Sync();
-  EXPECT_EQ(replica_->syncs(), before + 1);
+  EXPECT_EQ(Syncs(), before + 1);
 }
 
 TEST_F(ReplicaSelectorFixture, EmptyWriteSetRejected) {

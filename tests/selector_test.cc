@@ -309,11 +309,13 @@ class SelectorFixture : public ::testing::Test {
           std::chrono::microseconds(0);
       options.freshness_timeout = std::chrono::milliseconds(2000);
       sites_.push_back(std::make_unique<site::SiteManager>(
-          options, partitioner_.get(), logs_.get(), nullptr));
+          options, partitioner_.get(), logs_.get(), nullptr, nullptr,
+          &registry_));
       ASSERT_TRUE(sites_.back()->CreateTable(kTable).ok());
     }
     SelectorOptions options;
     options.num_sites = 3;
+    options.metrics = &registry_;
     options.sample_rate = 1.0;
     options.weights = StrategyWeights{1.0, 0.5, 1.0, 1.0};
     selector_ = std::make_unique<SiteSelector>(
@@ -333,6 +335,11 @@ class SelectorFixture : public ::testing::Test {
     for (auto& s : sites_) s->Stop();
   }
 
+  uint64_t Remastered() const {
+    return registry_.CounterValue("selector_remaster_total");
+  }
+
+  metrics::Registry registry_;
   std::unique_ptr<RangePartitioner> partitioner_;
   std::unique_ptr<log::LogManager> logs_;
   std::vector<std::unique_ptr<site::SiteManager>> sites_;
@@ -347,7 +354,7 @@ TEST_F(SelectorFixture, SingleSitedWriteSetRoutesWithoutRemastering) {
                   .ok());
   EXPECT_EQ(route.site, 0u);  // partition 0 -> site 0
   EXPECT_FALSE(route.remastered);
-  EXPECT_EQ(selector_->counters().remastered_txns.load(), 0u);
+  EXPECT_EQ(Remastered(), 0u);
 }
 
 TEST_F(SelectorFixture, MultiMasterWriteSetTriggersRemastering) {
@@ -480,9 +487,11 @@ TEST_F(SelectorFixture, CountersTrackRouting) {
                   ->RouteWrite(1, {RecordKey{kTable, 5}, RecordKey{kTable, 15}},
                                VersionVector(3), &route)
                   .ok());
-  EXPECT_EQ(selector_->counters().write_routes.load(), 2u);
-  EXPECT_EQ(selector_->counters().remastered_txns.load(), 1u);
-  EXPECT_NEAR(selector_->counters().RemasterFraction(), 0.5, 1e-9);
+  const uint64_t write_routes =
+      registry_.CounterValue("selector_routes_total", {{"kind", "write"}});
+  EXPECT_EQ(write_routes, 2u);
+  EXPECT_EQ(Remastered(), 1u);
+  EXPECT_NEAR(static_cast<double>(Remastered()) / write_routes, 0.5, 1e-9);
 }
 
 }  // namespace

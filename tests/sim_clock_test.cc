@@ -130,16 +130,16 @@ TEST(SimClockNetworkTest, RoundTripIsTwoMessagesOneSleep) {
     net::SimulatedNetwork::Options options;
     options.one_way_latency = milliseconds(1);
     options.charge_delays = true;
-    net::SimulatedNetwork network(options);
-    network.RegisterMetrics(&registry);
+    net::SimulatedNetwork network(options, &registry);
     Stopwatch watch;
     network.RoundTrip(net::TrafficClass::kClientRequest, 100, 50);
     EXPECT_GE(watch.ElapsedMicros(), 2000u);
-    EXPECT_EQ(network.MessageCount(net::TrafficClass::kClientRequest), 2u);
-    EXPECT_EQ(network.ByteCount(net::TrafficClass::kClientRequest), 150u);
     EXPECT_EQ(registry.CounterValue("net_messages_total",
                                     {{"class", "client_request"}}),
               2u);
+    EXPECT_EQ(registry.CounterValue("net_bytes_total",
+                                    {{"class", "client_request"}}),
+              150u);
     EXPECT_EQ(HistogramCount(registry, "sim_sleep_overshoot_us"), 1u);
   });
 }
@@ -152,9 +152,10 @@ TEST(SimClockNetworkTest, RoundTripDeliversBothLegs) {
   sched::StartRecord(/*seed=*/7, /*fuzz_layer=*/false);
   std::thread sender([] {
     sched::ThreadGuard guard("sim_clock/sender");
+    metrics::Registry registry;
     net::SimulatedNetwork::Options options;
     options.one_way_latency = microseconds(100);
-    net::SimulatedNetwork network(options);
+    net::SimulatedNetwork network(options, &registry);
     network.RoundTrip(net::TrafficClass::kCoordination, 64, 64);
   });
   sender.join();
@@ -169,10 +170,11 @@ TEST(SimClockNetworkTest, RoundTripDeliversBothLegs) {
 
 TEST(SimClockNetworkTest, SendSettlesTheSendersDebtFirst) {
   OnFreshThread([] {
+    metrics::Registry registry;
     net::SimulatedNetwork::Options options;
     options.charge_delays = false;  // no network delay; the debt still lands
-    net::SimulatedNetwork network(options);
-    const sim::SimClock clock;
+    net::SimulatedNetwork network(options, &registry);
+    const sim::SimClock clock(&registry);
     sim::Charge(milliseconds(2));
     Stopwatch watch;
     network.Send(net::TrafficClass::kPropagation, 10);
@@ -199,7 +201,9 @@ TEST(SimClockCommitTest, ChargedReadsLandBeforeCommitPublishes) {
   options.read_op_cost = microseconds(150);
   options.write_op_cost = options.apply_op_cost = microseconds(0);
   options.freshness_timeout = std::chrono::seconds(5);
-  site::SiteManager site(options, &partitioner, &logs, nullptr);
+  metrics::Registry registry;
+  site::SiteManager site(options, &partitioner, &logs, nullptr, nullptr,
+                         &registry);
   ASSERT_TRUE(site.CreateTable(kTable).ok());
   for (uint64_t key = 0; key < 3; ++key) {
     ASSERT_TRUE(site.LoadRecord(RecordKey{kTable, key}, "v").ok());

@@ -38,7 +38,8 @@ class SiteFixture : public ::testing::Test {
       options.lock_timeout = std::chrono::milliseconds(200);
       options.freshness_timeout = std::chrono::milliseconds(500);
       sites_.push_back(std::make_unique<SiteManager>(
-          options, partitioner_.get(), logs_.get(), nullptr));
+          options, partitioner_.get(), logs_.get(), nullptr, nullptr,
+          &registry_));
       EXPECT_TRUE(sites_.back()->CreateTable(kTable).ok());
     }
     // Site 0 masters everything by default.
@@ -71,6 +72,14 @@ class SiteFixture : public ::testing::Test {
     return sites_[site]->WaitForVersion(target).ok();
   }
 
+  // One site's count in a `site`-labelled family of registry_.
+  uint64_t SiteCount(const std::string& family, SiteId site,
+                     metrics::Labels labels = {}) const {
+    labels.emplace_back("site", std::to_string(site));
+    return registry_.CounterValue(family, labels);
+  }
+
+  metrics::Registry registry_;
   std::unique_ptr<RangePartitioner> partitioner_;
   std::unique_ptr<log::LogManager> logs_;
   std::vector<std::unique_ptr<SiteManager>> sites_;
@@ -159,7 +168,7 @@ TEST_F(SiteFixture, CommitBumpsOwnSvvIndex) {
   EXPECT_EQ(tvv[0], 1u);
   EXPECT_EQ(tvv[1], 0u);
   EXPECT_EQ(sites_[0]->CurrentVersion()[0], 1u);
-  EXPECT_EQ(sites_[0]->counters().local_commits.load(), 1u);
+  EXPECT_EQ(SiteCount("site_commits_total", 0, {{"kind", "update"}}), 1u);
 }
 
 TEST_F(SiteFixture, CommitTimestampEmbedsBeginSnapshot) {
@@ -232,7 +241,7 @@ TEST_F(SiteFixture, NotMasterRejected) {
   options.write_keys = {RecordKey{kTable, 1}};
   Transaction txn;
   EXPECT_TRUE(sites_[1]->BeginTransaction(options, &txn).IsNotMaster());
-  EXPECT_EQ(sites_[1]->counters().aborts.load(), 1u);
+  EXPECT_EQ(SiteCount("site_aborts_total", 1, {{"reason", "NotMaster"}}), 1u);
 }
 
 TEST_F(SiteFixture, InsertIntoUnmasteredPartitionRejected) {
@@ -283,7 +292,7 @@ TEST_F(SiteFixture, RefreshPropagationReachesAllSites) {
   ASSERT_TRUE(sites_[1]->engine().Read(RecordKey{kTable, 1}, snapshot, &value)
                   .ok());
   EXPECT_EQ(value, "v1");
-  EXPECT_GE(sites_[1]->counters().refresh_applied.load(), 1u);
+  EXPECT_GE(SiteCount("site_refresh_applied_total", 1), 1u);
 }
 
 // The Figure 2 scenario: T1 commits at S1; T2 (which observed T1 via
@@ -337,8 +346,8 @@ TEST_F(SiteFixture, ReleaseGrantTransfersMastership) {
   EXPECT_TRUE(sites_[1]->IsMasterOf(3));
   // Grant waited for everything up to the release point.
   EXPECT_TRUE(grant_vv.DominatesOrEquals(release_vv));
-  EXPECT_EQ(sites_[0]->counters().releases.load(), 1u);
-  EXPECT_EQ(sites_[1]->counters().grants.load(), 1u);
+  EXPECT_EQ(SiteCount("site_releases_total", 0), 1u);
+  EXPECT_EQ(SiteCount("site_grants_total", 1), 1u);
 
   // The new master can now execute writes on the partition.
   TxnOptions options;
@@ -480,7 +489,8 @@ TEST_F(SiteFixture, RecoveryReplaysUpdatesAndMastership) {
   SiteOptions fresh_options;
   fresh_options.site_id = 2;
   fresh_options.num_sites = 3;
-  SiteManager fresh(fresh_options, partitioner_.get(), logs_.get(), nullptr);
+  SiteManager fresh(fresh_options, partitioner_.get(), logs_.get(), nullptr,
+                    nullptr, &registry_);
   ASSERT_TRUE(fresh.CreateTable(kTable).ok());
   std::unordered_map<PartitionId, SiteId> initial;
   for (PartitionId p = 0; p < 10; ++p) initial[p] = 0;

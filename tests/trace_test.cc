@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -18,6 +20,40 @@ TEST(TraceTest, NullTracerIsANoop) {
   span.SetTxn(1, 2);
   span.AddNum("x", 3.0);
   span.End();  // must not crash; nothing to record into
+}
+
+// A span with a histogram and no tracer is a pure phase timer: it still
+// times its interval (once, however often End() is called), and its
+// argument calls return before formatting anything.
+TEST(TraceTest, NullTracerSpanStillFeedsItsHistogram) {
+  metrics::Histogram histogram;
+  {
+    Span span(nullptr, "work", "test", 0, 1, &histogram);
+    span.SetTxn(1, 2);
+    span.AddNum("x", 3.0);
+    span.AddArg("k", "v");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    span.End();
+    span.End();
+  }
+  EXPECT_EQ(histogram.recorder().count(), 1u);
+  EXPECT_GE(histogram.recorder().MaxMicros(), 2000u);
+}
+
+// One object feeds both planes: the recorded span's duration is the value
+// its histogram observed.
+TEST(TraceTest, SpanRecordsAndObservesOneDuration) {
+  Tracer tracer;
+  metrics::Histogram histogram;
+  {
+    Span span(&tracer, "phase", "test", 0, 1, &histogram);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(histogram.recorder().count(), 1u);
+  EXPECT_GE(events[0].dur_us, 1000u);
+  EXPECT_EQ(histogram.recorder().MaxMicros(), events[0].dur_us);
 }
 
 TEST(TraceTest, SpanNestingTimestampsContain) {
