@@ -5,6 +5,9 @@
 #   format       .clang-format via scripts/format-check.sh
 #   build        default build (everything: tests, examples, benches)
 #   tier1/tier2  default ctest
+#   repeat       the multi-master conservation audit and the LEAP tests
+#                200 times, the LEAP race stress 10 times (default build):
+#                schedule-dependent failures that one ctest run misses
 #   ignored-inputs  fails if any file under src/ tests/ scripts/ bench/
 #                examples/ perfbench/ is matched by .gitignore: such a
 #                file exists in the working tree but can never be committed
@@ -100,13 +103,24 @@ else
 fi
 
 # 2. Default build + tests --------------------------------------------------
+# The repeat stage reruns tests whose failures depend on thread schedules.
+repeat_stage() {
+  ./build/tests/baselines_test --gtest_brief=1 \
+    --gtest_filter='MultiMasterTest.ConcurrentMixConservesTotal:LeapTest.*' \
+    --gtest_repeat=200 &&
+    ./build/tests/race_stress_test --gtest_brief=1 \
+      --gtest_filter='*Leap*' --gtest_repeat=10
+}
+
 step "build (default)"
 if cmake --preset default && cmake --build build -j "$JOBS"; then
   record build PASS
   run_stage "tier1+tier2" ctest --preset default
+  run_stage repeat repeat_stage
 else
   record build FAIL
   record "tier1+tier2" SKIP "build failed"
+  record repeat SKIP "build failed"
 fi
 
 # 3. Observability surface --------------------------------------------------

@@ -33,6 +33,7 @@ LeapSystem::LeapSystem(const Options& options, const Partitioner* partitioner)
       partitioner_(partitioner),
       cluster_(UnreplicatedCluster(options.cluster), partitioner),
       ownership_(partitioner->NumPartitions(), 0),
+      partition_rows_(partitioner->NumPartitions()),
       shipped_partitions_(
           cluster_.metrics()->GetCounter("leap_shipped_partitions_total")),
       shipped_bytes_(
@@ -48,8 +49,43 @@ LeapSystem::LeapSystem(const Options& options, const Partitioner* partitioner)
 
 LeapSystem::~LeapSystem() { Shutdown(); }
 
+/// SiteTxnContext that lists each key it inserts in the partition row
+/// index before the insert stages. A concurrent shipment of the partition
+/// then either drains this transaction through Release before it reads the
+/// index, or the insert fails with NotMaster because the partition left.
+class LeapSystem::IndexingTxnContext final : public core::TxnContext {
+ public:
+  IndexingTxnContext(LeapSystem* system, site::SiteManager* site,
+                     site::Transaction* txn)
+      : system_(system), inner_(site, txn) {}
+
+  Status Get(const RecordKey& key, std::string* value) override {
+    return inner_.Get(key, value);
+  }
+
+  Status Put(const RecordKey& key, std::string value) override {
+    return inner_.Put(key, std::move(value));
+  }
+
+  Status Insert(const RecordKey& key, std::string value) override {
+    system_->IndexRow(key);
+    return inner_.Insert(key, std::move(value));
+  }
+
+ private:
+  LeapSystem* system_;
+  core::SiteTxnContext inner_;
+};
+
+void LeapSystem::IndexRow(const RecordKey& key) {
+  const PartitionId p = partitioner_->PartitionOf(key);
+  MutexLock guard(partition_rows_mu_);
+  partition_rows_[p].insert(key);
+}
+
 Status LeapSystem::LoadRow(const RecordKey& key, std::string value) {
   const PartitionId p = partitioner_->PartitionOf(key);
+  IndexRow(key);
   return cluster_.site(options_.placement[p])->LoadRecord(key, std::move(value));
 }
 
@@ -92,16 +128,16 @@ Status LeapSystem::ShipPartition(PartitionId partition, SiteId src,
   Status s = src_site->Release({partition}, dest, &release_version);
   if (!s.ok()) return s;
 
-  // Copy the partition's rows — enumerated from the source's live tables,
-  // so rows inserted after the initial load ship too. This is the data
-  // movement DynaMast's metadata-only remastering avoids.
+  // Copy the rows the index lists for the partition. The Release above
+  // drained every transaction whose insert into the partition succeeded,
+  // and each listed its key before inserting. Rows stay at the source, as
+  // a read-only transaction that began there may still read them. This is
+  // the data movement DynaMast's metadata-only remastering avoids.
   std::vector<RecordKey> keys;
-  for (TableId table : src_site->engine().TableIds()) {
-    storage::Table* t = src_site->engine().GetTable(table);
-    t->ForEachRowId([&](uint64_t row) {
-      const RecordKey key{table, row};
-      if (partitioner_->PartitionOf(key) == partition) keys.push_back(key);
-    });
+  {
+    MutexLock guard(partition_rows_mu_);
+    const auto& rows = partition_rows_[partition];
+    keys.assign(rows.begin(), rows.end());
   }
   size_t bytes = 0;
   for (const RecordKey& key : keys) {
@@ -267,7 +303,7 @@ Status LeapSystem::Execute(core::ClientState& client,
       continue;
     }
     if (!s.ok()) return s;
-    core::SiteTxnContext context(site, &txn);
+    IndexingTxnContext context(this, site, &txn);
     s = logic(context);
     if (!s.ok()) {
       site->Abort(&txn, s);

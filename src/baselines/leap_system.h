@@ -57,10 +57,15 @@ class LeapSystem final : public core::SystemInterface {
   SiteId OwnerOf(PartitionId p) const { return ownership_.MasterOfLocked(p); }
 
  private:
+  class IndexingTxnContext;
+
   /// Moves `partition` from `src` to `dest`: drains writers at the source,
-  /// copies every row of the partition, and transfers ownership. Caller
+  /// copies the partition's indexed rows, and transfers ownership. Caller
   /// holds the partition's exclusive ownership lock.
   Status ShipPartition(PartitionId partition, SiteId src, SiteId dest);
+
+  /// Lists `key` under its partition in `partition_rows_` (once).
+  void IndexRow(const RecordKey& key);
 
   Options options_;
   const Partitioner* partitioner_;
@@ -72,6 +77,12 @@ class LeapSystem final : public core::SystemInterface {
   DebugMutex static_partitions_mu_{"leap.static_partitions"};
   std::unordered_set<PartitionId> static_partitions_
       DYNAMAST_GUARDED_BY(static_partitions_mu_);
+  /// Partition -> keys of its rows (loaded or inserted by a transaction),
+  /// so a shipment copies exactly the partition's rows. Keys of aborted
+  /// inserts stay listed; the copy skips rows the source lacks.
+  DebugMutex partition_rows_mu_{"leap.partition_rows"};
+  std::vector<std::unordered_set<RecordKey>> partition_rows_
+      DYNAMAST_GUARDED_BY(partition_rows_mu_);
   metrics::Counter* shipped_partitions_;  // leap_shipped_partitions_total
   metrics::Counter* shipped_bytes_;       // leap_shipped_bytes_total
   bool sealed_ = false;

@@ -51,12 +51,4 @@ size_t StorageEngine::TotalRows() const {
   return total;
 }
 
-std::vector<TableId> StorageEngine::TableIds() const {
-  ReaderMutexLock lock(tables_mu_);
-  std::vector<TableId> ids;
-  ids.reserve(tables_.size());
-  for (const auto& [id, table] : tables_) ids.push_back(id);
-  return ids;
-}
-
 }  // namespace dynamast::storage

@@ -5,7 +5,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/debug_mutex.h"
 #include "common/key.h"
@@ -59,8 +58,6 @@ class StorageEngine {
 
   /// Total rows across all tables (diagnostics / tests).
   size_t TotalRows() const;
-
-  std::vector<TableId> TableIds() const;
 
  private:
   Options options_;

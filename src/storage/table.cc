@@ -42,13 +42,6 @@ Status Table::ReadLatest(uint64_t row, std::string* out) const {
 
 bool Table::Contains(uint64_t row) const { return Find(row) != nullptr; }
 
-void Table::ForEachRowId(const std::function<void(uint64_t)>& fn) const {
-  for (const Shard& shard : shards_) {
-    ReaderMutexLock read_lock(shard.mu);
-    for (const auto& [row, record] : shard.rows) fn(row);
-  }
-}
-
 size_t Table::NumRows() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {

@@ -2,7 +2,6 @@
 #define DYNAMAST_STORAGE_TABLE_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -51,17 +50,11 @@ class Table {
   bool Contains(uint64_t row) const;
   size_t NumRows() const;
 
-  /// Invokes `fn` for every row id currently in the table. Holds each
-  /// shard's lock in shared mode while iterating that shard; `fn` must not
-  /// call back into this table. Used by data shipping (LEAP) to enumerate
-  /// a partition's rows.
-  void ForEachRowId(const std::function<void(uint64_t)>& fn) const;
-
  private:
   static constexpr size_t kNumShards = 64;
   struct Shard {
     // Shards never nest: every operation touches exactly one shard at a
-    // time (ForEachRowId iterates shard by shard).
+    // time (NumRows counts shard by shard).
     mutable DebugSharedMutex mu{"storage.table_shard"};
     // The *index* is guarded; VersionedRecord pointers are stable once
     // inserted, so readers drop the index lock before touching chains.

@@ -181,6 +181,11 @@ TEST(MultiMasterTest, ConcurrentMixConservesTotal) {
   LoadKeys(system, 60, 1000);
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
+  // Multi-master gives strong-session SI, not atomic visibility of a 2PC
+  // transfer (DESIGN.md modeling decision 7): a replica may show one
+  // participant's half. The audit therefore runs under the writers'
+  // merged session, which every participant's commit has folded into.
+  std::vector<VersionVector> sessions(4);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       core::ClientState client;
@@ -198,6 +203,7 @@ TEST(MultiMasterTest, ConcurrentMixConservesTotal) {
           failures.fetch_add(1);
         }
       }
+      sessions[t] = client.session;
     });
   }
   for (auto& t : threads) t.join();
@@ -205,6 +211,9 @@ TEST(MultiMasterTest, ConcurrentMixConservesTotal) {
 
   core::ClientState auditor;
   auditor.id = 77;
+  for (const VersionVector& session : sessions) {
+    auditor.session.MaxWith(session);
+  }
   core::TxnProfile audit;
   audit.read_only = true;
   for (uint64_t key = 0; key < 60; ++key) {
@@ -489,6 +498,109 @@ TEST(LeapTest, LocalizedPartitionsStayUntilBegin) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(not_master_retries.load(), 0u);
   EXPECT_GT(ShippedPartitions(registry), 0u);
+  system.Shutdown();
+}
+
+TEST(LeapTest, ShipsRowsInsertedAfterLoad) {
+  constexpr TableId kOrders = 1;
+  RangePartitioner partitioner(10, 10);
+  LeapSystem::Options options;
+  options.cluster = FastCluster(2);
+  options.placement = RangePlacement(10, 2, 5);  // 0-4 -> 0, 5-9 -> 1
+  LeapSystem system(options, &partitioner);
+  ASSERT_TRUE(system.CreateTable(kOrders).ok());
+  LoadKeys(system, 100, 50);
+
+  // Insert a row of partition 0 (row 7 of a table loaded empty) at its
+  // owner, site 0; the partition is declared through
+  // extra_write_partitions only.
+  core::ClientState client;
+  client.id = 1;
+  core::TxnProfile insert;
+  insert.extra_write_partitions = {0};
+  core::TxnResult result;
+  ASSERT_TRUE(system
+                  .Execute(
+                      client, insert,
+                      [](core::TxnContext& ctx) {
+                        return ctx.Insert(RecordKey{kOrders, 7}, Num(123));
+                      },
+                      &result)
+                  .ok());
+  ASSERT_EQ(result.executed_at, 0u);
+
+  // Partitions 8 and 9 live at site 1, so this transfer executes there
+  // and ships partition 0 over.
+  core::TxnProfile transfer = TransferProfile(5, 95);
+  transfer.read_keys.push_back(RecordKey{kTable, 85});
+  ASSERT_TRUE(
+      system.Execute(client, transfer, TransferLogic(5, 95, 10), &result)
+          .ok());
+  ASSERT_EQ(result.executed_at, 1u);
+  ASSERT_EQ(system.OwnerOf(0), 1u);
+
+  core::TxnProfile read;
+  read.read_only = true;
+  read.read_keys = {RecordKey{kOrders, 7}};
+  uint64_t seen = 0;
+  ASSERT_TRUE(system
+                  .Execute(
+                      client, read,
+                      [&seen](core::TxnContext& ctx) -> Status {
+                        std::string value;
+                        Status s = ctx.Get(RecordKey{kOrders, 7}, &value);
+                        if (s.ok()) seen = AsNum(value);
+                        return s;
+                      },
+                      &result)
+                  .ok());
+  EXPECT_EQ(result.executed_at, 1u);
+  EXPECT_EQ(seen, 123u);
+  system.Shutdown();
+}
+
+// A shipment copies the shipped partition's rows and nothing else, even
+// when the source also holds stale copies of partitions that shipped
+// away from it earlier.
+TEST(LeapTest, ShippedBytesCoverOnlyThePartition) {
+  metrics::Registry registry;
+  RangePartitioner partitioner(10, 10);
+  LeapSystem::Options options;
+  options.cluster = FastCluster(2, &registry);
+  options.placement = RangePlacement(10, 2, 5);  // 0-4 -> 0, 5-9 -> 1
+  LeapSystem system(options, &partitioner);
+  LoadKeys(system, 100, 50);
+  constexpr uint64_t kPartitionBytes = 10 * (sizeof(uint64_t) + 16);
+
+  core::ClientState client;
+  client.id = 1;
+  // Each read executes where two of its three partitions live and ships
+  // the third: partition 0 to site 1, partition 0 back to site 0 (site 1
+  // keeps a stale copy), then partition 9 from site 1 to site 0.
+  const std::vector<std::pair<std::vector<uint64_t>, SiteId>> ships = {
+      {{5, 85, 95}, 1}, {{5, 15, 25}, 0}, {{15, 25, 95}, 0}};
+  for (const auto& [keys, dest] : ships) {
+    const uint64_t partitions_before = ShippedPartitions(registry);
+    const uint64_t bytes_before =
+        registry.CounterValue("leap_shipped_bytes_total");
+    core::TxnProfile read;
+    read.read_only = true;
+    for (uint64_t key : keys) read.read_keys.push_back(RecordKey{kTable, key});
+    auto logic = [&read](core::TxnContext& ctx) -> Status {
+      for (const RecordKey& key : read.read_keys) {
+        std::string value;
+        Status s = ctx.Get(key, &value);
+        if (!s.ok()) return s;
+      }
+      return Status::OK();
+    };
+    core::TxnResult result;
+    ASSERT_TRUE(system.Execute(client, read, logic, &result).ok());
+    EXPECT_EQ(result.executed_at, dest);
+    EXPECT_EQ(ShippedPartitions(registry), partitions_before + 1);
+    EXPECT_EQ(registry.CounterValue("leap_shipped_bytes_total"),
+              bytes_before + kPartitionBytes);
+  }
   system.Shutdown();
 }
 

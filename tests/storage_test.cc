@@ -370,13 +370,5 @@ TEST(StorageEngineTest, MaxVersionsOptionRespected) {
   EXPECT_TRUE(engine.Read(key, Vv({1}), &value).IsSnapshotTooOld());
 }
 
-TEST(StorageEngineTest, TableIdsListed) {
-  StorageEngine engine;
-  ASSERT_TRUE(engine.CreateTable(3).ok());
-  ASSERT_TRUE(engine.CreateTable(7).ok());
-  auto ids = engine.TableIds();
-  EXPECT_EQ(ids.size(), 2u);
-}
-
 }  // namespace
 }  // namespace dynamast::storage
