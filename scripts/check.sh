@@ -288,8 +288,10 @@ fi
 sanitizer_stage() {  # sanitizer_stage <preset>
   local preset="$1"
   step "$preset build (tests only)"
+  # Build through the build preset: a preset's binaryDir need not be
+  # build-<preset> (asan-ubsan builds in build-asan).
   if cmake --preset "$preset" &&
-     cmake --build "build-$preset" --target dynamast_tests -j "$JOBS"; then
+     cmake --build --preset "$preset" --target dynamast_tests -j "$JOBS"; then
     run_stage "$preset" ctest --preset "$preset"
   else
     record "$preset" FAIL "build failed"

@@ -2,18 +2,17 @@
 #define DYNAMAST_COMMON_DEBUG_MUTEX_H_
 
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <type_traits>
 
+#include "common/lock_profile.h"
 #include "common/scheduler.h"
 #include "common/thread_annotations.h"
-
-#if defined(DYNAMAST_LOCK_PROFILE) && DYNAMAST_LOCK_PROFILE
-#include "common/lock_profile.h"
-#endif
 
 namespace dynamast {
 
@@ -23,10 +22,24 @@ namespace dynamast {
 /// Every mutex in the concurrent subsystems (lock_manager, site_manager,
 /// admission_gate, durable_log, sim_network, storage engine, partition map)
 /// is declared as a DebugMutex / DebugSharedMutex with a lock-*class* name
-/// ("site.state", "log.topic", ...). In default builds these wrappers
-/// compile to plain std::mutex / std::shared_mutex forwarding (zero cost);
-/// when the build is configured with -DDYNAMAST_LOCK_DEBUG=ON every
-/// acquisition is checked against a process-wide lock-order graph:
+/// ("site.state", "log.topic", ...). Both are instantiations of one mutex
+/// template, BasicMutex<Native, Policy>, whose hook policy the build
+/// selects:
+///
+///   Plain    (default) scheduler registration and op scopes only; each
+///            operation compiles to the std::mutex / std::shared_mutex
+///            call (zero cost);
+///   Check    (-DDYNAMAST_LOCK_DEBUG=ON) Plain plus the lock-order
+///            checker below;
+///   Profile  (-DDYNAMAST_LOCK_PROFILE=ON) Plain plus the contention
+///            profiler (common/lock_profile.h).
+///
+/// RawMutex is the fourth policy, Raw: no hooks and no scheduler
+/// registration. Check and Profile are mutually exclusive (rejected at
+/// configure time and by an #error below).
+///
+/// With Check, every acquisition is checked against a process-wide
+/// lock-order graph:
 ///
 ///  * recursive acquisition of the same instance aborts immediately
 ///    (std::mutex self-deadlock / UB);
@@ -38,18 +51,18 @@ namespace dynamast {
 ///    *rank*; holding two instances of one class requires strictly
 ///    ascending ranks, otherwise the process aborts.
 ///
-/// The checker itself (lockdebug::*) is always compiled into
-/// dynamast_common so its unit tests run in every build configuration; the
-/// DYNAMAST_LOCK_DEBUG macro only selects which wrapper the production
-/// types alias.
+/// Every policy is always compiled (the checker itself, lockdebug::*, lives
+/// in dynamast_common) so the checker's and the profiler's unit tests run
+/// in every build configuration; the build macros only select which policy
+/// the production aliases use.
 ///
-/// All wrappers are additionally Clang TSA *capabilities* (see DESIGN.md,
-/// "Static thread-safety"): under the `clang-tsa` preset the compiler
-/// proves, for every path, that DYNAMAST_GUARDED_BY fields are only
-/// touched with their lock held. Guarded state must therefore be accessed
-/// through the scoped lockers below (MutexLock / ReaderMutexLock /
-/// WriterMutexLock) — std::lock_guard over these types still compiles but
-/// is invisible to the analysis.
+/// The template is a Clang TSA *capability* (see DESIGN.md, "Static
+/// thread-safety"): under the `clang-tsa` preset the compiler proves, for
+/// every path, that DYNAMAST_GUARDED_BY fields are only touched with their
+/// lock held. Guarded state must therefore be accessed through the scoped
+/// lockers below (MutexLock / ReaderMutexLock / WriterMutexLock) —
+/// std::lock_guard over these types still compiles but is invisible to the
+/// analysis.
 namespace lockdebug {
 
 /// Rank for lock classes whose instances must never be held together.
@@ -85,201 +98,231 @@ using ViolationHandler = void (*)(const char* report);
 void SetViolationHandlerForTest(ViolationHandler handler);
 
 // ---------------------------------------------------------------------
-// Checked wrappers (used directly by the checker's own tests; production
-// code names them via the DebugMutex / DebugSharedMutex aliases below).
+// Hook policies. A policy has a per-instance State (constructed from the
+// lock-class name and rank) and one static hook per event; BasicMutex
+// calls them around the native operations. `exclusive` is false for the
+// shared side of a shared mutex.
 // ---------------------------------------------------------------------
 
-class DYNAMAST_CAPABILITY("mutex") TrackedMutex {
- public:
-  explicit TrackedMutex(const char* name, uint64_t rank = kNoRank)
-      : name_(name), rank_(rank), sched_uid_(DYNAMAST_SCHED_REGISTER(name)) {}
+/// When a blocking acquisition started to block; nullopt if it did not
+/// (or the policy does not try first, see kTryFirst).
+using BlockedSince = std::optional<std::chrono::steady_clock::time_point>;
 
-  TrackedMutex(const TrackedMutex&) = delete;
-  TrackedMutex& operator=(const TrackedMutex&) = delete;
+/// Raw: no hooks. Its State is anonymous to the scheduler: sched uid 0
+/// is the engine's "<anon>" object, whose operations are neither traced
+/// nor perturbed.
+struct RawPolicy {
+  struct State {
+    static constexpr uint32_t sched_uid = 0;
+  };
+  static constexpr bool kTryFirst = false;
+
+  static void BeforeLock(auto& /*state*/) {}
+  static void Acquired(auto& /*state*/, bool /*exclusive*/,
+                       BlockedSince /*blocked_since*/) {}
+  static void TryAcquired(auto& /*state*/, bool /*exclusive*/) {}
+  static void BeforeUnlock(auto& /*state*/, bool /*exclusive*/) {}
+  static void CvRelease(auto& /*state*/) {}
+  static void CvReacquire(auto& /*state*/) {}
+};
+
+/// Plain: registers the instance with the scheduler, so its operations
+/// enter the record/replay/explore decision stream; no other hooks.
+struct PlainPolicy : RawPolicy {
+  struct State {
+    State(const char* name, uint64_t /*rank*/)
+        : sched_uid(DYNAMAST_SCHED_REGISTER(name)) {}
+    uint32_t sched_uid;
+  };
+};
+
+/// Check: Plain plus the lock-order checker. The State's address is the
+/// instance identity the checker tracks.
+struct CheckPolicy : PlainPolicy {
+  struct State : PlainPolicy::State {
+    State(const char* name, uint64_t rank)
+        : PlainPolicy::State(name, rank), name(name), rank(rank) {}
+    const char* name;
+    uint64_t rank;
+  };
+
+  // Shared acquisitions participate in ordering checks too: a reader
+  // blocked behind a queued writer is still a wait-for edge.
+  static void BeforeLock(State& s) { OnLock(&s, s.name, s.rank); }
+  static void TryAcquired(State& s, bool /*exclusive*/) {
+    OnTryLock(&s, s.name, s.rank);
+  }
+  static void BeforeUnlock(State& s, bool /*exclusive*/) { OnUnlock(&s); }
+  // A lock held across a condvar wait is released for the wait's
+  // duration, so the held-stack record must be too.
+  static void CvRelease(State& s) { OnUnlock(&s); }
+  static void CvReacquire(State& s) { OnLock(&s, s.name, s.rank); }
+};
+
+/// Profile: Plain plus the contention profiler (common/lock_profile.h).
+/// Contention is detected with a try-first protocol (kTryFirst): an
+/// uncontended acquisition is the try_lock itself; on failure BasicMutex
+/// timestamps, falls back to the blocking call and hands the start time
+/// to Acquired. Hold time is tracked for exclusive ownership only (shared
+/// holds overlap and have no single owner).
+struct ProfilePolicy : PlainPolicy {
+  using Clock = std::chrono::steady_clock;
+  struct State : PlainPolicy::State {
+    State(const char* name, uint64_t rank)
+        : PlainPolicy::State(name, rank),
+          stats(lockprof::RegisterClass(name)) {}
+    lockprof::ClassStats* stats;
+    // Written by the owner while the lock is held; read at release.
+    Clock::time_point hold_start{};
+  };
+  static constexpr bool kTryFirst = true;
+
+  static void Acquired(State& s, bool exclusive, BlockedSince blocked_since) {
+    lockprof::RecordAcquire(s.stats, blocked_since.has_value(),
+                            blocked_since ? ElapsedNs(*blocked_since) : 0);
+    if (exclusive) s.hold_start = Clock::now();
+  }
+  static void TryAcquired(State& s, bool exclusive) {
+    Acquired(s, exclusive, std::nullopt);
+  }
+  static void BeforeUnlock(State& s, bool exclusive) {
+    if (exclusive) lockprof::RecordHold(s.stats, ElapsedNs(s.hold_start));
+  }
+  // A wait ends the current hold segment (time parked on the condvar is
+  // not holding) and reacquisition starts a new one. The wait's own
+  // blocking time is the condvar's business, not lock contention, so it
+  // is deliberately not recorded as wait_us.
+  static void CvRelease(State& s) { BeforeUnlock(s, /*exclusive=*/true); }
+  static void CvReacquire(State& s) { s.hold_start = Clock::now(); }
+
+ private:
+  static uint64_t ElapsedNs(Clock::time_point since) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             since)
+            .count());
+  }
+};
+
+}  // namespace lockdebug
+
+template <class MutexT>
+class BasicDebugCondVar;
+
+/// The one mutex: a capability-annotated std::mutex or std::shared_mutex
+/// (`Native`) whose operations call the `Policy` hooks. The shared-side
+/// members exist only for the std::shared_mutex instantiation.
+template <class Native, class Policy>
+class DYNAMAST_CAPABILITY("mutex") BasicMutex {
+ public:
+  using Hooks = Policy;
+
+  BasicMutex() = default;  // RawPolicy only: every other State needs a name
+  explicit BasicMutex(const char* name, uint64_t rank = lockdebug::kNoRank)
+      : state_(name, rank) {}
+
+  BasicMutex(const BasicMutex&) = delete;
+  BasicMutex& operator=(const BasicMutex&) = delete;
 
   void lock() DYNAMAST_ACQUIRE() {
     // The scope spans the native acquisition: in record mode the entry is
     // appended once the lock is actually held (post-completion), in
     // replay mode the gate blocks until this acquisition is the object's
     // recorded next operation.
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, sched_uid_);
-    OnLock(this, name_, rank_);
-    mu_.lock();
+    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, state_.sched_uid);
+    Policy::BeforeLock(state_);
+    Policy::Acquired(state_, /*exclusive=*/true,
+                     Acquire([this] { return mu_.try_lock(); },
+                             [this] { mu_.lock(); }));
   }
   bool try_lock() DYNAMAST_TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    OnTryLock(this, name_, rank_);
+    Policy::TryAcquired(state_, /*exclusive=*/true);
     return true;
   }
   void unlock() DYNAMAST_RELEASE() {
     // Releases trace pre-operation, so every enabling release precedes
     // the acquisition it enables in the recorded stream.
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlock, sched_uid_);
-    OnUnlock(this);
+    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlock, state_.sched_uid);
+    Policy::BeforeUnlock(state_, /*exclusive=*/true);
     mu_.unlock();
   }
 
-  void set_rank(uint64_t rank) { rank_ = rank; }
-
-  // DebugCondVar support: the native mutex a condition variable waits on,
-  // and the held-stack bookkeeping around the wait's release/reacquire.
-  std::mutex& native() { return mu_; }
-  void OnCvWaitRelease() { OnUnlock(this); }
-  void OnCvWaitReacquire() { OnLock(this, name_, rank_); }
-
- private:
-  std::mutex mu_;
-  const char* name_;
-  uint64_t rank_;
-  uint32_t sched_uid_;
-};
-
-class DYNAMAST_CAPABILITY("shared_mutex") TrackedSharedMutex {
- public:
-  explicit TrackedSharedMutex(const char* name, uint64_t rank = kNoRank)
-      : name_(name), rank_(rank), sched_uid_(DYNAMAST_SCHED_REGISTER(name)) {}
-
-  TrackedSharedMutex(const TrackedSharedMutex&) = delete;
-  TrackedSharedMutex& operator=(const TrackedSharedMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, sched_uid_);
-    OnLock(this, name_, rank_);
-    mu_.lock();
-  }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    OnTryLock(this, name_, rank_);
-    return true;
-  }
-  void unlock() DYNAMAST_RELEASE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlock, sched_uid_);
-    OnUnlock(this);
-    mu_.unlock();
-  }
-
-  // Shared acquisitions participate in ordering checks too: a reader
-  // blocked behind a queued writer is still a wait-for edge.
+  template <std::same_as<std::shared_mutex> N = Native>
   void lock_shared() DYNAMAST_ACQUIRE_SHARED() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLockShared, sched_uid_);
-    OnLock(this, name_, rank_);
-    mu_.lock_shared();
+    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLockShared, state_.sched_uid);
+    Policy::BeforeLock(state_);
+    Policy::Acquired(state_, /*exclusive=*/false,
+                     Acquire([this] { return mu_.try_lock_shared(); },
+                             [this] { mu_.lock_shared(); }));
   }
+  template <std::same_as<std::shared_mutex> N = Native>
   bool try_lock_shared() DYNAMAST_TRY_ACQUIRE_SHARED(true) {
     if (!mu_.try_lock_shared()) return false;
-    OnTryLock(this, name_, rank_);
+    Policy::TryAcquired(state_, /*exclusive=*/false);
     return true;
   }
+  template <std::same_as<std::shared_mutex> N = Native>
   void unlock_shared() DYNAMAST_RELEASE_SHARED() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlockShared, sched_uid_);
-    OnUnlock(this);
+    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlockShared, state_.sched_uid);
+    Policy::BeforeUnlock(state_, /*exclusive=*/false);
     mu_.unlock_shared();
   }
 
-  void set_rank(uint64_t rank) { rank_ = rank; }
+  /// Sets the same-class nesting rank (Check only; a no-op elsewhere).
+  void set_rank(uint64_t rank) {
+    if constexpr (requires { state_.rank; }) state_.rank = rank;
+  }
 
  private:
-  std::shared_mutex mu_;
-  const char* name_;
-  uint64_t rank_;
-  uint32_t sched_uid_;
+  template <class MutexT>
+  friend class BasicDebugCondVar;
+
+  // The blocking native acquisition. Returns when it started blocking, or
+  // nullopt if it did not block: a kTryFirst policy tries first, and an
+  // acquisition the try obtains is uncontended. Other policies go straight
+  // to the blocking call and learn nothing.
+  template <class TryFn, class LockFn>
+  static lockdebug::BlockedSince Acquire(TryFn try_native,
+                                         LockFn lock_native) {
+    if constexpr (Policy::kTryFirst) {
+      if (try_native()) return std::nullopt;
+      const auto start = std::chrono::steady_clock::now();
+      lock_native();
+      return start;
+    } else {
+      lock_native();
+      return std::nullopt;
+    }
+  }
+
+  Native mu_;
+  [[no_unique_address]] typename Policy::State state_;
 };
 
-// ---------------------------------------------------------------------
-// Zero-cost pass-through wrappers (default builds).
-// ---------------------------------------------------------------------
-
-class DYNAMAST_CAPABILITY("mutex") PlainMutex {
- public:
-  explicit PlainMutex(const char* name, uint64_t /*rank*/ = kNoRank)
-      : sched_uid_(DYNAMAST_SCHED_REGISTER(name)) {}
-
-  PlainMutex(const PlainMutex&) = delete;
-  PlainMutex& operator=(const PlainMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, sched_uid_);
-    mu_.lock();
-  }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void unlock() DYNAMAST_RELEASE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlock, sched_uid_);
-    mu_.unlock();
-  }
-  void set_rank(uint64_t /*rank*/) {}
-
-  std::mutex& native() { return mu_; }
-  void OnCvWaitRelease() {}
-  void OnCvWaitReacquire() {}
-
- private:
-  std::mutex mu_;
-  uint32_t sched_uid_;
-};
-
-class DYNAMAST_CAPABILITY("shared_mutex") PlainSharedMutex {
- public:
-  explicit PlainSharedMutex(const char* name, uint64_t /*rank*/ = kNoRank)
-      : sched_uid_(DYNAMAST_SCHED_REGISTER(name)) {}
-
-  PlainSharedMutex(const PlainSharedMutex&) = delete;
-  PlainSharedMutex& operator=(const PlainSharedMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, sched_uid_);
-    mu_.lock();
-  }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void unlock() DYNAMAST_RELEASE() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlock, sched_uid_);
-    mu_.unlock();
-  }
-  void lock_shared() DYNAMAST_ACQUIRE_SHARED() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLockShared, sched_uid_);
-    mu_.lock_shared();
-  }
-  bool try_lock_shared() DYNAMAST_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-  void unlock_shared() DYNAMAST_RELEASE_SHARED() {
-    DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexUnlockShared, sched_uid_);
-    mu_.unlock_shared();
-  }
-  void set_rank(uint64_t /*rank*/) {}
-
- private:
-  std::shared_mutex mu_;
-  uint32_t sched_uid_;
-};
-
-}  // namespace lockdebug
-
-// Alias selection: DYNAMAST_LOCK_DEBUG picks the checked or pass-through
-// base; DYNAMAST_LOCK_PROFILE (see common/lock_profile.h) layers the
-// contention profiler over whichever base was picked. With the profiler
-// off the aliases are exactly the bases — zero cost, zero registry
-// families.
-#if defined(DYNAMAST_LOCK_DEBUG) && DYNAMAST_LOCK_DEBUG
-using BaseDebugMutex = lockdebug::TrackedMutex;
-using BaseDebugSharedMutex = lockdebug::TrackedSharedMutex;
-#else
-using BaseDebugMutex = lockdebug::PlainMutex;
-using BaseDebugSharedMutex = lockdebug::PlainSharedMutex;
-#endif
-
-#if defined(DYNAMAST_LOCK_PROFILE) && DYNAMAST_LOCK_PROFILE
+// The build-selected policy of the production aliases.
+#if defined(DYNAMAST_LOCK_DEBUG) && DYNAMAST_LOCK_DEBUG && \
+    defined(DYNAMAST_LOCK_PROFILE) && DYNAMAST_LOCK_PROFILE
+#error \
+    "DYNAMAST_LOCK_DEBUG and DYNAMAST_LOCK_PROFILE are mutually exclusive: " \
+    "the profiler's try-first protocol would hide uncontended acquisitions' " \
+    "lock-order edges from the checker."
+#elif defined(DYNAMAST_LOCK_DEBUG) && DYNAMAST_LOCK_DEBUG
+using BuildMutexPolicy = lockdebug::CheckPolicy;
+#elif defined(DYNAMAST_LOCK_PROFILE) && DYNAMAST_LOCK_PROFILE
 #if DYNAMAST_SCHED_FUZZ_ENABLED
 #error \
     "DYNAMAST_LOCK_PROFILE is incompatible with DYNAMAST_SCHED_FUZZ: the " \
     "profiler's try-first acquisition protocol would perturb the recorded " \
     "scheduling decision stream."
 #endif
-using DebugMutex = lockprof::ProfiledMutex<BaseDebugMutex>;
-using DebugSharedMutex = lockprof::ProfiledSharedMutex<BaseDebugSharedMutex>;
+using BuildMutexPolicy = lockdebug::ProfilePolicy;
 #else
-using DebugMutex = BaseDebugMutex;
-using DebugSharedMutex = BaseDebugSharedMutex;
+using BuildMutexPolicy = lockdebug::PlainPolicy;
 #endif
+
+using DebugMutex = BasicMutex<std::mutex, BuildMutexPolicy>;
+using DebugSharedMutex = BasicMutex<std::shared_mutex, BuildMutexPolicy>;
 
 /// Capability-annotated plain std::mutex, for infrastructure at or below
 /// the scheduler layer (metrics registry, tracer, latency recorder, the
@@ -288,19 +331,7 @@ using DebugSharedMutex = BaseDebugSharedMutex;
 /// DYNAMAST_SCHED_REGISTER and emit lock operations into the record/replay
 /// trace, perturbing the object-identity tables whenever telemetry is
 /// toggled; RawMutex carries the TSA capability without any hooks.
-class DYNAMAST_CAPABILITY("mutex") RawMutex {
- public:
-  RawMutex() = default;
-  RawMutex(const RawMutex&) = delete;
-  RawMutex& operator=(const RawMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() { mu_.lock(); }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void unlock() DYNAMAST_RELEASE() { mu_.unlock(); }
-
- private:
-  std::mutex mu_;
-};
+using RawMutex = BasicMutex<std::mutex, lockdebug::RawPolicy>;
 
 // ---------------------------------------------------------------------
 // Scoped lockers. These are what annotated code must use: the analysis
@@ -351,10 +382,10 @@ using RawMutexLock = BasicMutexLock<RawMutex>;
 /// the guarding mutex held (`cv.wait(mu_, pred)`) — the mutex parameter
 /// carries the DYNAMAST_REQUIRES contract, so a wait without the
 /// capability is a compile error under the clang-tsa preset. Waits run on
-/// the wrapped std::mutex directly (no condition_variable_any), so the
-/// default build is exactly a std::condition_variable; in lock-debug
-/// builds the wait notifies the checker that the mutex is released for the
-/// duration of the wait.
+/// the mutex's native std::mutex directly (no condition_variable_any), so
+/// the default build is exactly a std::condition_variable; the wait calls
+/// the mutex policy's CvRelease/CvReacquire hooks around it (the checker
+/// sees the release, the profiler closes the hold segment).
 ///
 /// In the scheduler's armed modes (record/replay/explore, fuzz builds
 /// only) waits take a different path entirely: the native condvar's
@@ -461,20 +492,20 @@ class BasicDebugCondVar {
   }
 #endif
 
-  // Adopts the caller's DebugMutex as a std::unique_lock<std::mutex> over
-  // its native mutex for the duration of one wait, so the standard
-  // condition variable can unlock/relock it. The caller's scoped lock
-  // keeps ownership; the checker sees the release and reacquisition. (The
+  // Adopts the caller's mutex as a std::unique_lock<std::mutex> over its
+  // native mutex for the duration of one wait, so the standard condition
+  // variable can unlock/relock it. The caller's scoped lock keeps
+  // ownership; the policy hooks see the release and reacquisition. (The
   // native handoff is invisible to TSA — the wait's REQUIRES contract
   // holds at entry and exit, which is what callers rely on.)
   struct WaitScope {
     explicit WaitScope(MutexT& mu)
-        : mutex(&mu), inner(mu.native(), std::adopt_lock) {
-      mutex->OnCvWaitRelease();
+        : mutex(&mu), inner(mu.mu_, std::adopt_lock) {
+      MutexT::Hooks::CvRelease(mutex->state_);
     }
     ~WaitScope() {
       inner.release();
-      mutex->OnCvWaitReacquire();
+      MutexT::Hooks::CvReacquire(mutex->state_);
     }
     MutexT* mutex;
     std::unique_lock<std::mutex> inner;

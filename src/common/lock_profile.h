@@ -1,11 +1,7 @@
 #ifndef DYNAMAST_COMMON_LOCK_PROFILE_H_
 #define DYNAMAST_COMMON_LOCK_PROFILE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <mutex>
-
-#include "common/thread_annotations.h"
 
 namespace dynamast::metrics {
 class Registry;
@@ -14,10 +10,10 @@ class Registry;
 namespace dynamast::lockprof {
 
 /// Lock-contention profiling for the DYNAMAST_LOCK_PROFILE build (see
-/// DESIGN.md, "Timelines & convergence tracking"). ProfiledMutex /
-/// ProfiledSharedMutex wrap the Tracked*/Plain* wrappers from
-/// common/debug_mutex.h and export, per lock *class* (the registry names
-/// "site.state", "log.topic", ...), through the metrics registry:
+/// DESIGN.md, "Lock-contention profiler"). The Profile hook policy of
+/// common/debug_mutex.h records through these functions, which export,
+/// per lock *class* (the registry names "site.state", "log.topic", ...),
+/// through the metrics registry:
 ///
 ///   lock_acquires_total{lock_class}            every acquisition
 ///   lock_contended_acquires_total{lock_class}  acquisitions that blocked
@@ -25,33 +21,9 @@ namespace dynamast::lockprof {
 ///                                              acquisitions only
 ///   lock_hold_us{lock_class}                   exclusive hold segments
 ///
-/// Contention is detected with a try-first protocol: an uncontended
-/// acquisition is the try_lock itself; on failure the profiler timestamps,
-/// falls back to the blocking lock(), and attributes the measured wait to
-/// the class. Hold time is tracked for exclusive ownership only (shared
-/// holds overlap and have no single owner); a condition-variable wait
-/// closes the current hold segment and opens a new one on reacquire, so
-/// parked time never counts as holding.
-///
-/// Like the lock-order checker, these templates are always compiled (their
-/// unit tests run in every configuration); the DYNAMAST_LOCK_PROFILE macro
-/// only selects whether the production DebugMutex aliases route through
-/// them. Two composition caveats, both documented in DESIGN.md:
-///
-///  * with DYNAMAST_LOCK_DEBUG, uncontended acquisitions enter the
-///    checker via OnTryLock, which records no lock-order edges — the
-///    profile build trades edge coverage on uncontended paths;
-///  * DYNAMAST_SCHED_FUZZ is incompatible (the try-first protocol would
-///    perturb the recorded decision stream) and is rejected at configure
-///    time and by an #error in common/debug_mutex.h.
-///
 /// The per-class stats are resolved against metrics::Registry::Global()
 /// once per class name, at mutex construction; RegisterClass is safe for
 /// static-lifetime mutexes (Global() is a function-local static).
-
-/// Matches lockdebug::kNoRank without depending on debug_mutex.h (which
-/// includes this header in profile builds).
-inline constexpr uint64_t kNoRank = UINT64_MAX;
 
 /// Resolved metric handles for one lock class (opaque; defined in
 /// lock_profile.cc where the metrics registry is a complete type).
@@ -72,125 +44,6 @@ void RecordAcquire(ClassStats* stats, bool contended, uint64_t wait_ns);
 
 /// Records one exclusive hold segment.
 void RecordHold(ClassStats* stats, uint64_t hold_ns);
-
-namespace internal {
-inline uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - since)
-                                   .count());
-}
-}  // namespace internal
-
-/// Contention-profiling wrapper over TrackedMutex or PlainMutex.
-template <class Base>
-class DYNAMAST_CAPABILITY("mutex") ProfiledMutex {
- public:
-  explicit ProfiledMutex(const char* name, uint64_t rank = kNoRank)
-      : base_(name, rank), stats_(RegisterClass(name)) {}
-
-  ProfiledMutex(const ProfiledMutex&) = delete;
-  ProfiledMutex& operator=(const ProfiledMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() {
-    if (base_.try_lock()) {
-      RecordAcquire(stats_, /*contended=*/false, 0);
-    } else {
-      const auto start = std::chrono::steady_clock::now();
-      base_.lock();
-      RecordAcquire(stats_, /*contended=*/true, internal::ElapsedNs(start));
-    }
-    hold_start_ = std::chrono::steady_clock::now();
-  }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) {
-    if (!base_.try_lock()) return false;
-    RecordAcquire(stats_, /*contended=*/false, 0);
-    hold_start_ = std::chrono::steady_clock::now();
-    return true;
-  }
-  void unlock() DYNAMAST_RELEASE() {
-    RecordHold(stats_, internal::ElapsedNs(hold_start_));
-    base_.unlock();
-  }
-
-  void set_rank(uint64_t rank) { base_.set_rank(rank); }
-
-  // DebugCondVar support: a wait ends the current hold segment (time
-  // parked on the condvar is not holding) and reacquisition starts a new
-  // one. The wait's own blocking time is the condvar's business, not lock
-  // contention, so it is deliberately not recorded as wait_us.
-  std::mutex& native() { return base_.native(); }
-  void OnCvWaitRelease() {
-    RecordHold(stats_, internal::ElapsedNs(hold_start_));
-    base_.OnCvWaitRelease();
-  }
-  void OnCvWaitReacquire() {
-    base_.OnCvWaitReacquire();
-    hold_start_ = std::chrono::steady_clock::now();
-  }
-
- private:
-  Base base_;
-  ClassStats* stats_;
-  // Written by the owner while the lock is held; read at release.
-  std::chrono::steady_clock::time_point hold_start_{};
-};
-
-/// Contention-profiling wrapper over TrackedSharedMutex or
-/// PlainSharedMutex. Shared acquisitions record acquires/contention/wait;
-/// hold segments are tracked for the exclusive side only.
-template <class Base>
-class DYNAMAST_CAPABILITY("shared_mutex") ProfiledSharedMutex {
- public:
-  explicit ProfiledSharedMutex(const char* name, uint64_t rank = kNoRank)
-      : base_(name, rank), stats_(RegisterClass(name)) {}
-
-  ProfiledSharedMutex(const ProfiledSharedMutex&) = delete;
-  ProfiledSharedMutex& operator=(const ProfiledSharedMutex&) = delete;
-
-  void lock() DYNAMAST_ACQUIRE() {
-    if (base_.try_lock()) {
-      RecordAcquire(stats_, /*contended=*/false, 0);
-    } else {
-      const auto start = std::chrono::steady_clock::now();
-      base_.lock();
-      RecordAcquire(stats_, /*contended=*/true, internal::ElapsedNs(start));
-    }
-    hold_start_ = std::chrono::steady_clock::now();
-  }
-  bool try_lock() DYNAMAST_TRY_ACQUIRE(true) {
-    if (!base_.try_lock()) return false;
-    RecordAcquire(stats_, /*contended=*/false, 0);
-    hold_start_ = std::chrono::steady_clock::now();
-    return true;
-  }
-  void unlock() DYNAMAST_RELEASE() {
-    RecordHold(stats_, internal::ElapsedNs(hold_start_));
-    base_.unlock();
-  }
-
-  void lock_shared() DYNAMAST_ACQUIRE_SHARED() {
-    if (base_.try_lock_shared()) {
-      RecordAcquire(stats_, /*contended=*/false, 0);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    base_.lock_shared();
-    RecordAcquire(stats_, /*contended=*/true, internal::ElapsedNs(start));
-  }
-  bool try_lock_shared() DYNAMAST_TRY_ACQUIRE_SHARED(true) {
-    if (!base_.try_lock_shared()) return false;
-    RecordAcquire(stats_, /*contended=*/false, 0);
-    return true;
-  }
-  void unlock_shared() DYNAMAST_RELEASE_SHARED() { base_.unlock_shared(); }
-
-  void set_rank(uint64_t rank) { base_.set_rank(rank); }
-
- private:
-  Base base_;
-  ClassStats* stats_;
-  std::chrono::steady_clock::time_point hold_start_{};
-};
 
 }  // namespace dynamast::lockprof
 

@@ -786,7 +786,7 @@ void ResetIdentities() {
 
 OpScope::OpScope(OpKind kind, uint32_t object_uid) {
   const uint8_t m = g_engine.mode.load(std::memory_order_acquire);
-  if (m == 0) return;
+  if (m == 0 || object_uid == 0) return;
   kind_ = kind;
   object_ = object_uid;
   if (FuzzLayerActive(m)) Perturb(OpKindName(kind));

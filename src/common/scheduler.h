@@ -134,6 +134,9 @@ void ResetIdentities();
 /// spans the native operation:
 ///
 ///   { sched::OpScope op(OpKind::kMutexLock, sched_uid_); mu_.lock(); }
+///
+/// Object uid 0 is the unregistered "<anon>" object: its operations are
+/// neither traced nor perturbed (RawMutex sits below the scheduler).
 class OpScope {
  public:
   OpScope(OpKind kind, uint32_t object_uid);

@@ -4,8 +4,8 @@
 /// Clang Thread Safety Analysis capability annotations (see DESIGN.md,
 /// "Static thread-safety").
 ///
-/// Every lock type in the codebase (DebugMutex, DebugSharedMutex, RawMutex
-/// and their Tracked/Plain implementations in common/debug_mutex.h) is a
+/// Every lock type in the codebase (DebugMutex, DebugSharedMutex, RawMutex:
+/// instantiations of the BasicMutex template in common/debug_mutex.h) is a
 /// TSA *capability*; fields carry DYNAMAST_GUARDED_BY(mu), functions that
 /// must be called with a lock held carry DYNAMAST_REQUIRES(mu), and public
 /// entry points that take the lock themselves carry DYNAMAST_EXCLUDES(mu).

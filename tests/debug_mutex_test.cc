@@ -1,6 +1,7 @@
 // Tests for the DebugMutex lock-order checker (common/debug_mutex.h).
-// The tracked wrappers are exercised directly, so these run in every
-// build configuration regardless of DYNAMAST_LOCK_DEBUG.
+// The mutex template is instantiated with the Check policy directly, so
+// these run in every build configuration regardless of
+// DYNAMAST_LOCK_DEBUG.
 
 #include "common/debug_mutex.h"
 
@@ -14,6 +15,9 @@
 
 namespace dynamast::lockdebug {
 namespace {
+
+using CheckMutex = BasicMutex<std::mutex, CheckPolicy>;
+using CheckSharedMutex = BasicMutex<std::shared_mutex, CheckPolicy>;
 
 // Routes violations into an exception so a test observes detection
 // without a death test; restores abort-on-violation on scope exit.
@@ -37,8 +41,8 @@ std::string Caught(const std::function<void()>& fn) {
 
 TEST(DebugMutexTest, ConsistentOrderIsSilent) {
   ResetGraphForTest();
-  TrackedMutex a("silent.A");
-  TrackedMutex b("silent.B");
+  CheckMutex a("silent.A");
+  CheckMutex b("silent.B");
   for (int i = 0; i < 3; ++i) {
     std::lock_guard ga(a);
     std::lock_guard gb(b);
@@ -50,8 +54,8 @@ TEST(DebugMutexTest, ConsistentOrderIsSilent) {
 TEST(DebugMutexTest, DetectsAbBaInversion) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex a("inv.A");
-  TrackedMutex b("inv.B");
+  CheckMutex a("inv.A");
+  CheckMutex b("inv.B");
   {
     std::lock_guard ga(a);
     std::lock_guard gb(b);  // establishes inv.A -> inv.B
@@ -66,8 +70,8 @@ TEST(DebugMutexTest, DetectsAbBaInversion) {
 TEST(DebugMutexTest, DetectsInversionAcrossThreads) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex a("xthr.A");
-  TrackedMutex b("xthr.B");
+  CheckMutex a("xthr.A");
+  CheckMutex b("xthr.B");
   // Thread 1 establishes A -> B and releases both before thread 2 runs,
   // so there is no actual deadlock — only the ordering hazard.
   std::thread t([&] {
@@ -87,9 +91,9 @@ TEST(DebugMutexTest, DetectsInversionAcrossThreads) {
 TEST(DebugMutexTest, DetectsThreeLockCycle) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex a("tri.A");
-  TrackedMutex b("tri.B");
-  TrackedMutex c("tri.C");
+  CheckMutex a("tri.A");
+  CheckMutex b("tri.B");
+  CheckMutex c("tri.C");
   {
     std::lock_guard ga(a);
     std::lock_guard gb(b);  // tri.A -> tri.B
@@ -107,7 +111,7 @@ TEST(DebugMutexTest, DetectsThreeLockCycle) {
 TEST(DebugMutexTest, DetectsRecursiveAcquisition) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex a("rec.A");
+  CheckMutex a("rec.A");
   a.lock();
   const std::string report = Caught([&] { a.lock(); });
   EXPECT_NE(report.find("recursive acquisition"), std::string::npos) << report;
@@ -117,8 +121,8 @@ TEST(DebugMutexTest, DetectsRecursiveAcquisition) {
 TEST(DebugMutexTest, SameClassNestingRequiresAscendingRanks) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex p0("ranked.partition", 0);
-  TrackedMutex p1("ranked.partition", 1);
+  CheckMutex p0("ranked.partition", 0);
+  CheckMutex p1("ranked.partition", 1);
   {  // ascending is the sorted-order protocol: silent
     std::lock_guard g0(p0);
     std::lock_guard g1(p1);
@@ -131,8 +135,8 @@ TEST(DebugMutexTest, SameClassNestingRequiresAscendingRanks) {
 TEST(DebugMutexTest, SameClassNestingWithoutRanksIsAViolation) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedMutex a("unranked.X");
-  TrackedMutex b("unranked.X");
+  CheckMutex a("unranked.X");
+  CheckMutex b("unranked.X");
   std::lock_guard ga(a);
   const std::string report = Caught([&] { b.lock(); });
   EXPECT_NE(report.find("same-class nesting"), std::string::npos) << report;
@@ -140,8 +144,8 @@ TEST(DebugMutexTest, SameClassNestingWithoutRanksIsAViolation) {
 
 TEST(DebugMutexTest, TryLockRecordsHeldButNoEdges) {
   ResetGraphForTest();
-  TrackedMutex a("try.A");
-  TrackedMutex b("try.B");
+  CheckMutex a("try.A");
+  CheckMutex b("try.B");
   ASSERT_TRUE(a.try_lock());
   EXPECT_EQ(HeldCount(), 1u);
   EXPECT_EQ(EdgeCount(), 0u);  // try_lock cannot complete a deadlock cycle
@@ -155,8 +159,8 @@ TEST(DebugMutexTest, TryLockRecordsHeldButNoEdges) {
 TEST(DebugMutexTest, SharedMutexParticipatesInOrdering) {
   ResetGraphForTest();
   ThrowOnViolation guard;
-  TrackedSharedMutex a("shared.A");
-  TrackedMutex b("shared.B");
+  CheckSharedMutex a("shared.A");
+  CheckMutex b("shared.B");
   {
     a.lock_shared();
     std::lock_guard gb(b);  // shared.A -> shared.B
@@ -169,8 +173,8 @@ TEST(DebugMutexTest, SharedMutexParticipatesInOrdering) {
 
 TEST(DebugMutexTest, CondVarWaitReleasesAndReacquires) {
   ResetGraphForTest();
-  TrackedMutex m("cv.M");
-  BasicDebugCondVar<TrackedMutex> cv;
+  CheckMutex m("cv.M");
+  BasicDebugCondVar<CheckMutex> cv;
   bool ready = false;
   std::thread t([&] {
     std::lock_guard g(m);  // must be acquirable while the main thread waits
@@ -178,7 +182,7 @@ TEST(DebugMutexTest, CondVarWaitReleasesAndReacquires) {
     cv.notify_all();
   });
   {
-    BasicMutexLock<TrackedMutex> lock(m);
+    BasicMutexLock<CheckMutex> lock(m);
     cv.wait(m, [&] { return ready; });
     EXPECT_EQ(HeldCount(), 1u);  // reacquired after the wait
   }
@@ -188,9 +192,9 @@ TEST(DebugMutexTest, CondVarWaitReleasesAndReacquires) {
 
 TEST(DebugMutexTest, CondVarWaitUntilTimesOut) {
   ResetGraphForTest();
-  TrackedMutex m("cvto.M");
-  BasicDebugCondVar<TrackedMutex> cv;
-  BasicMutexLock<TrackedMutex> lock(m);
+  CheckMutex m("cvto.M");
+  BasicDebugCondVar<CheckMutex> cv;
+  BasicMutexLock<CheckMutex> lock(m);
   const auto r = cv.wait_until(
       m, std::chrono::steady_clock::now() + std::chrono::milliseconds(10));
   EXPECT_EQ(r, std::cv_status::timeout);
@@ -205,8 +209,8 @@ TEST(DebugMutexDeathTest, InversionAborts) {
       {
         SetViolationHandlerForTest(nullptr);
         ResetGraphForTest();
-        TrackedMutex a("death.A");
-        TrackedMutex b("death.B");
+        CheckMutex a("death.A");
+        CheckMutex b("death.B");
         {
           std::lock_guard ga(a);
           std::lock_guard gb(b);
@@ -218,8 +222,8 @@ TEST(DebugMutexDeathTest, InversionAborts) {
 }
 
 TEST(DebugMutexTest, PlainWrappersForwardLocking) {
-  PlainMutex m("plain.M");
-  PlainSharedMutex sm("plain.SM");
+  BasicMutex<std::mutex, PlainPolicy> m("plain.M");
+  BasicMutex<std::shared_mutex, PlainPolicy> sm("plain.SM");
   {
     std::lock_guard g(m);
     std::shared_lock s(sm);
@@ -228,8 +232,25 @@ TEST(DebugMutexTest, PlainWrappersForwardLocking) {
   m.unlock();
   sm.lock();
   sm.unlock();
-  // Plain wrappers never touch the registry.
+  // The Plain policy never touches the checker.
   EXPECT_EQ(HeldCount(), 0u);
+}
+
+// The production alias routes through the build-selected policy: the
+// checker sees DebugMutex only in DYNAMAST_LOCK_DEBUG builds.
+TEST(DebugMutexTest, ProductionAliasMatchesBuild) {
+  ResetGraphForTest();
+  DebugMutex m("alias.M");
+  MutexLock hold(m);
+#if defined(DYNAMAST_LOCK_DEBUG) && DYNAMAST_LOCK_DEBUG
+  ThrowOnViolation guard;
+  // Any other policy would self-deadlock on the recursive lock below.
+  ASSERT_EQ(HeldCount(), 1u);
+  const std::string report = Caught([&] { m.lock(); });
+  EXPECT_NE(report.find("recursive acquisition"), std::string::npos) << report;
+#else
+  EXPECT_EQ(HeldCount(), 0u);
+#endif
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Unit tests for the lock-contention profiler (common/lock_profile). The
-// ProfiledMutex templates are always compiled, so these run in every
-// configuration; what DYNAMAST_LOCK_PROFILE changes is only whether the
-// production DebugMutex aliases route through them — the last test pins
-// the zero-cost-when-off contract on the default build.
+// mutex template is instantiated with the Profile policy directly, so
+// these run in every configuration; what DYNAMAST_LOCK_PROFILE changes is
+// only whether the production DebugMutex aliases use that policy — the
+// last test pins the zero-cost-when-off contract on the default build.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 
 #include "common/debug_mutex.h"
@@ -15,6 +18,10 @@
 
 namespace dynamast::lockprof {
 namespace {
+
+using ProfiledMutex = BasicMutex<std::mutex, lockdebug::ProfilePolicy>;
+using ProfiledSharedMutex =
+    BasicMutex<std::shared_mutex, lockdebug::ProfilePolicy>;
 
 class LockProfileTest : public ::testing::Test {
  protected:
@@ -42,7 +49,7 @@ class LockProfileTest : public ::testing::Test {
 };
 
 TEST_F(LockProfileTest, UncontendedAcquiresCountWithoutWaitSamples) {
-  ProfiledMutex<lockdebug::PlainMutex> mu("test.uncontended");
+  ProfiledMutex mu("test.uncontended");
   for (int i = 0; i < 5; ++i) {
     mu.lock();
     mu.unlock();
@@ -61,7 +68,7 @@ TEST_F(LockProfileTest, UncontendedAcquiresCountWithoutWaitSamples) {
 }
 
 TEST_F(LockProfileTest, ContendedAcquireRecordsMeasuredWait) {
-  ProfiledMutex<lockdebug::PlainMutex> mu("test.contended");
+  ProfiledMutex mu("test.contended");
   mu.lock();
   std::thread blocked([&mu] {
     mu.lock();  // must block until the holder releases
@@ -86,7 +93,7 @@ TEST_F(LockProfileTest, ContendedAcquireRecordsMeasuredWait) {
 }
 
 TEST_F(LockProfileTest, SharedMutexProfilesBothSides) {
-  ProfiledSharedMutex<lockdebug::PlainSharedMutex> mu("test.shared");
+  ProfiledSharedMutex mu("test.shared");
   mu.lock_shared();
   mu.unlock_shared();
   ASSERT_TRUE(mu.try_lock_shared());
@@ -103,13 +110,36 @@ TEST_F(LockProfileTest, SharedMutexProfilesBothSides) {
 }
 
 TEST_F(LockProfileTest, SameClassNameSharesOneSeries) {
-  ProfiledMutex<lockdebug::PlainMutex> a("test.pooled");
-  ProfiledMutex<lockdebug::PlainMutex> b("test.pooled");
+  ProfiledMutex a("test.pooled");
+  ProfiledMutex b("test.pooled");
   a.lock();
   a.unlock();
   b.lock();
   b.unlock();
   EXPECT_EQ(Acquires("test.pooled"), 2u);
+}
+
+// A condvar wait closes the hold segment and reacquisition opens a new
+// one, so time parked on the condvar never counts as holding.
+TEST_F(LockProfileTest, CondVarWaitSplitsTheHoldSegment) {
+  ProfiledMutex mu("test.cv");
+  BasicDebugCondVar<ProfiledMutex> cv;
+  std::chrono::steady_clock::duration parked{};
+  {
+    BasicMutexLock<ProfiledMutex> lock(mu);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(cv.wait_for(mu, std::chrono::milliseconds(20)),
+              std::cv_status::timeout);
+    parked = std::chrono::steady_clock::now() - start;
+  }
+  ASSERT_GE(parked, std::chrono::milliseconds(20));
+
+  EXPECT_EQ(Acquires("test.cv"), 1u);  // the reacquisition is not an acquire
+  const LatencyRecorder* hold = HoldUs("test.cv");
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count(), 2u);  // before the wait, and after it
+  // Neither segment contains the parked time.
+  EXPECT_LT(hold->MaxMicros(), 20000u);
 }
 
 // The off-by-default contract: a default (non-DYNAMAST_LOCK_PROFILE)
