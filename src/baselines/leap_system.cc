@@ -12,12 +12,6 @@ constexpr size_t kRpcRequestBytes = 256;
 constexpr size_t kRpcResponseBytes = 128;
 constexpr size_t kShipRequestBytes = 64;
 
-VersionVector MaskToIndex(const VersionVector& v, SiteId s) {
-  VersionVector out(v.size());
-  if (s < v.size()) out[s] = v[s];
-  return out;
-}
-
 // LEAP keeps no replicas, so its cluster must never run refresh appliers.
 // The flag has to be cleared *before* Cluster is constructed: an applier
 // re-applying an old remote update after a partition ships in would
@@ -286,14 +280,10 @@ Status LeapSystem::Execute(core::ClientState& client,
                   kRpcResponseBytes);
     site::SiteManager* site = cluster_.site(dest);
     site::AdmissionGate::Scoped slot(site->gate());
-    site::TxnOptions txn_options;
-    txn_options.read_only = profile.read_only;
-    txn_options.write_keys = profile.write_keys;
-    txn_options.min_begin_version = MaskToIndex(client.session, dest);
-    txn_options.client = client.id;
-    txn_options.client_txn = client.issued_txns;
-    site::Transaction txn;
-    Status s = site->BeginTransaction(txn_options, &txn);
+    core::SiteTxn txn(site, client,
+                      profile.read_only ? core::TxnPhaseTimers{}
+                                        : cluster_.write_phases());
+    Status s = txn.Begin(profile, core::MaskToIndex(client.session, dest));
     // Registered (a shipper's release now drains it) or refused: either
     // way the partitions may move again.
     unlock_all();
@@ -303,18 +293,8 @@ Status LeapSystem::Execute(core::ClientState& client,
       continue;
     }
     if (!s.ok()) return s;
-    IndexingTxnContext context(this, site, &txn);
-    s = logic(context);
-    if (!s.ok()) {
-      site->Abort(&txn, s);
-      return s;
-    }
-    VersionVector commit_version;
-    s = site->Commit(&txn, &commit_version);
-    if (!s.ok()) return s;
-    client.session.MaxWith(commit_version);
-    result->executed_at = dest;
-    return Status::OK();
+    IndexingTxnContext context(this, site, txn.txn());
+    return txn.Run(logic, context, result);
   }
   return last_error;
 }

@@ -7,6 +7,7 @@
 #include "common/scheduler.h"
 #include "common/sim_clock.h"
 #include "core/site_txn_context.h"
+#include "selector/site_selector.h"
 
 namespace dynamast::baselines {
 
@@ -16,16 +17,6 @@ constexpr size_t kRpcRequestBytes = 256;
 constexpr size_t kRpcResponseBytes = 128;
 constexpr size_t kPrepareBytes = 96;
 constexpr size_t kCommitDecisionBytes = 64;
-
-/// Restricts a session vector to one site's own index — cross-site session
-/// freshness is meaningless without replication (no refresh transactions
-/// ever advance the other indexes), so unreplicated systems enforce
-/// per-site sessions only.
-VersionVector MaskToIndex(const VersionVector& v, SiteId s) {
-  VersionVector out(v.size());
-  if (s < v.size()) out[s] = v[s];
-  return out;
-}
 
 }  // namespace
 
@@ -199,59 +190,30 @@ Status PartitionedSystem::Execute(core::ClientState& client,
     coordinator = static_cast<SiteId>(rng_.Uniform(cluster_.num_sites()));
   }
 
-  // The pure-local fast path requires replicas: without them, reads of
-  // rows the executing site does not own need the coordinated context's
-  // remote-read machinery even when the write set is single-sited.
-  if (participants.size() == 1 && participants[0] == coordinator &&
-      options_.replicated) {
-    single_site_->Increment();
-    return ExecuteLocalWrite(client, profile, logic, coordinator, result);
-  }
-  if (participants.size() == 1 && participants[0] == coordinator) {
+  const bool one_site =
+      participants.size() == 1 && participants[0] == coordinator;
+  if (one_site) {
     single_site_->Increment();
   } else {
     distributed_->Increment();
   }
+  // The pure-local fast path requires replicas: without them, reads of
+  // rows the executing site does not own need the coordinated context's
+  // remote-read machinery even when the write set is single-sited.
+  if (one_site && options_.replicated) {
+    cluster_.network().RoundTrip(
+        net::TrafficClass::kClientRequest,
+        kRpcRequestBytes + 32 * profile.write_keys.size(), kRpcResponseBytes);
+    site::SiteManager* site = cluster_.site(coordinator);
+    site::AdmissionGate::Scoped slot(site->gate());
+    core::SiteTxn txn(site, client, cluster_.write_phases());
+    Status s = txn.Begin(profile, client.session);
+    if (!s.ok()) return s;
+    return txn.Run(logic, result);
+  }
   result->distributed = participants.size() > 1;
   return ExecuteDistributedWrite(client, profile, logic, coordinator,
                                  participants, result);
-}
-
-Status PartitionedSystem::ExecuteLocalWrite(core::ClientState& client,
-                                            const core::TxnProfile& profile,
-                                            const core::TxnLogic& logic,
-                                            SiteId site_id,
-                                            core::TxnResult* result) {
-  net::SimulatedNetwork& net = cluster_.network();
-  net.RoundTrip(net::TrafficClass::kClientRequest,
-                kRpcRequestBytes + 32 * profile.write_keys.size(),
-                kRpcResponseBytes);
-  site::SiteManager* site = cluster_.site(site_id);
-  site::AdmissionGate::Scoped slot(site->gate());
-
-  site::TxnOptions options;
-  options.write_keys = profile.write_keys;
-  options.min_begin_version = options_.replicated
-                                  ? client.session
-                                  : MaskToIndex(client.session, site_id);
-  options.client = client.id;
-  options.client_txn = client.issued_txns;
-  site::Transaction txn;
-  Status s = site->BeginTransaction(options, &txn);
-  if (!s.ok()) return s;
-
-  core::SiteTxnContext context(site, &txn);
-  s = logic(context);
-  if (!s.ok()) {
-    site->Abort(&txn, s);
-    return s;
-  }
-  VersionVector commit_version;
-  s = site->Commit(&txn, &commit_version);
-  if (!s.ok()) return s;
-  client.session.MaxWith(commit_version);
-  result->executed_at = site_id;
-  return Status::OK();
 }
 
 Status PartitionedSystem::ExecuteDistributedWrite(
@@ -288,7 +250,7 @@ Status PartitionedSystem::ExecuteDistributedWrite(
     options.write_keys = writes_by_site[p];
     options.min_begin_version = options_.replicated
                                     ? client.session
-                                    : MaskToIndex(client.session, p);
+                                    : core::MaskToIndex(client.session, p);
     options.client = client.id;
     options.client_txn = client.issued_txns;
     site::Transaction txn;
@@ -355,46 +317,20 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
   if (options_.replicated) {
     // Multi-master: any session-fresh replica serves the whole
     // transaction.
-    std::vector<SiteId> fresh;
-    SiteId freshest = 0;
-    uint64_t freshest_total = 0;
-    for (SiteId s = 0; s < cluster_.num_sites(); ++s) {
-      const VersionVector svv = cluster_.site(s)->CurrentVersion();
-      if (svv.DominatesOrEquals(client.session)) fresh.push_back(s);
-      if (svv.Total() >= freshest_total) {
-        freshest_total = svv.Total();
-        freshest = s;
-      }
-    }
-    SiteId site_id = freshest;
-    if (!fresh.empty()) {
+    SiteId site_id;
+    {
       MutexLock guard(rng_mu_);
-      site_id = fresh[rng_.Uniform(fresh.size())];
+      site_id = selector::PickReadSite(cluster_.site_pointers(),
+                                       client.session, rng_);
     }
     net.RoundTrip(net::TrafficClass::kClientRequest, kRpcRequestBytes,
                   kRpcResponseBytes);
     site::SiteManager* site = cluster_.site(site_id);
     site::AdmissionGate::Scoped slot(site->gate());
-    site::TxnOptions options;
-    options.read_only = true;
-    options.min_begin_version = client.session;
-    options.client = client.id;
-    options.client_txn = client.issued_txns;
-    site::Transaction txn;
-    Status s = site->BeginTransaction(options, &txn);
+    core::SiteTxn txn(site, client);
+    Status s = txn.Begin(profile, client.session);
     if (!s.ok()) return s;
-    core::SiteTxnContext context(site, &txn);
-    s = logic(context);
-    if (!s.ok()) {
-      site->Abort(&txn, s);
-      return s;
-    }
-    VersionVector commit_version;
-    s = site->Commit(&txn, &commit_version);
-    if (!s.ok()) return s;
-    client.session.MaxWith(commit_version);
-    result->executed_at = site_id;
-    return Status::OK();
+    return txn.Run(logic, result);
   }
 
   // Partition-store: the transaction runs at the site owning most of the

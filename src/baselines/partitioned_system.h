@@ -96,10 +96,6 @@ class PartitionedSystem final : public core::SystemInterface {
     return OwnerOf(partitioner_->PartitionOf(key));
   }
 
-  Status ExecuteLocalWrite(core::ClientState& client,
-                           const core::TxnProfile& profile,
-                           const core::TxnLogic& logic, SiteId site,
-                           core::TxnResult* result);
   Status ExecuteDistributedWrite(core::ClientState& client,
                                  const core::TxnProfile& profile,
                                  const core::TxnLogic& logic,

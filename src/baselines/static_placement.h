@@ -35,16 +35,6 @@ inline std::vector<SiteId> RangePlacement(size_t num_partitions,
   return placement;
 }
 
-/// Hash placement (round-robin over partition ids), for comparison runs.
-inline std::vector<SiteId> HashPlacement(size_t num_partitions,
-                                         uint32_t num_sites) {
-  std::vector<SiteId> placement(num_partitions, 0);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    placement[p] = static_cast<SiteId>(p % num_sites);
-  }
-  return placement;
-}
-
 }  // namespace dynamast::baselines
 
 #endif  // DYNAMAST_BASELINES_STATIC_PLACEMENT_H_

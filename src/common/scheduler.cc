@@ -732,12 +732,6 @@ uint64_t PerturbationCount() {
   return g_engine.perturbations.load(std::memory_order_relaxed);
 }
 
-void Point(const char* site_name) {
-  const uint8_t m = g_engine.mode.load(std::memory_order_acquire);
-  if (m == 0) return;
-  if (FuzzLayerActive(m)) Perturb(site_name);
-}
-
 // ---------------------------------------------------------------------------
 // Identity.
 

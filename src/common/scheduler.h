@@ -60,7 +60,8 @@ enum class Mode : uint8_t {
 Mode CurrentMode();
 
 // ---------------------------------------------------------------------------
-// Legacy PCT-lite fuzzing interface (PR 2), preserved verbatim.
+// PCT-lite fuzzing interface. The fuzz layer perturbs at every
+// DYNAMAST_SCHED_OP / DYNAMAST_SCHED_OP_SCOPE hook.
 
 /// Arms the fuzzer with `seed`. Threads re-derive their priority and
 /// decision stream lazily at their next schedule point. Thread-safe.
@@ -71,10 +72,6 @@ void Disable();
 
 bool IsEnabled();
 uint64_t CurrentSeed();
-
-/// One legacy synchronization point: perturbs under kFuzz (and under
-/// kRecord when the fuzz layer is on), otherwise cheap.
-void Point(const char* site_name);
 
 /// Schedule points hit / perturbations injected since the last Enable.
 uint64_t PointCount();
@@ -298,7 +295,6 @@ uint32_t ExploreTokenForName(const std::string& name);
 /// DYNAMAST_SCHED_FUZZ, so hot paths carry no branch in default builds.
 #if defined(DYNAMAST_SCHED_FUZZ) && DYNAMAST_SCHED_FUZZ
 #define DYNAMAST_SCHED_FUZZ_ENABLED 1
-#define DYNAMAST_SCHED_POINT(site_name) ::dynamast::sched::Point(site_name)
 #define DYNAMAST_SCHED_OP(kind, uid) \
   ::dynamast::sched::Op(::dynamast::sched::OpKind::kind, (uid))
 #define DYNAMAST_SCHED_OP_SCOPE(var, kind, uid) \
@@ -306,7 +302,6 @@ uint32_t ExploreTokenForName(const std::string& name);
 #define DYNAMAST_SCHED_REGISTER(label) (::dynamast::sched::RegisterObject(label))
 #else
 #define DYNAMAST_SCHED_FUZZ_ENABLED 0
-#define DYNAMAST_SCHED_POINT(site_name) ((void)0)
 #define DYNAMAST_SCHED_OP(kind, uid) ((void)(uid))
 #define DYNAMAST_SCHED_OP_SCOPE(var, kind, uid) ((void)(uid))
 #define DYNAMAST_SCHED_REGISTER(label) ((void)(label), 0U)

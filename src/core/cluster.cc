@@ -29,7 +29,13 @@ Cluster::Cluster(const Options& options, const Partitioner* partitioner)
     sites_.push_back(std::make_unique<site::SiteManager>(
         site_options, partitioner_, &logs_, &network_, history_.get(),
         metrics_, tracer_.get()));
+    site_pointers_.push_back(sites_.back().get());
   }
+  auto phase = [this](const char* name) {
+    return metrics_->GetHistogram("txn_phase_us", {{"phase", name}});
+  };
+  write_phases_ = {tracer_.get(), phase("begin"), phase("execute"),
+                   phase("commit")};
 }
 
 Cluster::~Cluster() { Stop(); }
@@ -44,13 +50,6 @@ void Cluster::Stop() {
   stopped_ = true;
   logs_.CloseAll();
   for (auto& s : sites_) s->Stop();
-}
-
-std::vector<site::SiteManager*> Cluster::site_pointers() {
-  std::vector<site::SiteManager*> out;
-  out.reserve(sites_.size());
-  for (auto& s : sites_) out.push_back(s.get());
-  return out;
 }
 
 Status Cluster::CreateTable(TableId id) {

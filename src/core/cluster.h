@@ -15,6 +15,16 @@
 
 namespace dynamast::core {
 
+/// The timers of a one-site transaction's begin, execute and commit phases
+/// and the tracer their spans record into (see SiteTxn). Null members
+/// record nothing.
+struct TxnPhaseTimers {
+  trace::Tracer* tracer = nullptr;
+  metrics::Histogram* begin = nullptr;
+  metrics::Histogram* execute = nullptr;
+  metrics::Histogram* commit = nullptr;
+};
+
 /// Cluster owns the shared substrate of one deployment: the simulated
 /// network, the per-site durable log topics, the partitioner, and the data
 /// sites themselves. Systems (DynaMast and baselines) are built on top of
@@ -64,7 +74,9 @@ class Cluster {
   const Partitioner& partitioner() const { return *partitioner_; }
 
   site::SiteManager* site(SiteId id) { return sites_[id].get(); }
-  std::vector<site::SiteManager*> site_pointers();
+  const std::vector<site::SiteManager*>& site_pointers() const {
+    return site_pointers_;
+  }
 
   /// Null unless Options::record_history was set.
   history::Recorder* history() { return history_.get(); }
@@ -74,6 +86,10 @@ class Cluster {
 
   /// Null unless Options::trace was set.
   trace::Tracer* tracer() { return tracer_.get(); }
+
+  /// Every system's one-site write transactions time their phases here:
+  /// txn_phase_us{phase=begin|execute|commit}, plus the tracer.
+  const TxnPhaseTimers& write_phases() const { return write_phases_; }
 
   /// Creates a table at every site.
   Status CreateTable(TableId id);
@@ -87,6 +103,8 @@ class Cluster {
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<history::Recorder> history_;
   std::vector<std::unique_ptr<site::SiteManager>> sites_;
+  std::vector<site::SiteManager*> site_pointers_;
+  TxnPhaseTimers write_phases_;
   bool stopped_ = false;
 };
 

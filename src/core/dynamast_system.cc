@@ -26,8 +26,7 @@ DynaMastSystem::DynaMastSystem(const Options& options,
   auto phase = [registry](const char* name) {
     return registry->GetHistogram("txn_phase_us", {{"phase", name}});
   };
-  phase_us_ = {phase("route"), phase("network"), phase("begin"),
-               phase("execute"), phase("commit")};
+  phase_us_ = {phase("route"), phase("network")};
   selector::SelectorOptions sel = options_.selector;
   sel.num_sites = cluster_.num_sites();
   // The selector exports into the same registry/tracer as the data sites
@@ -140,17 +139,8 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
     site::AdmissionGate::Scoped slot(site->gate());
     admit_span.End();
 
-    site::TxnOptions txn_options;
-    txn_options.write_keys = profile.write_keys;
-    txn_options.min_begin_version = route.min_begin_version;
-    txn_options.client = client.id;
-    txn_options.client_txn = client.issued_txns;
-    site::Transaction txn;
-    trace::Span begin_span(tracer, "begin", "txn", route.site, client.id,
-                           phase_us_.begin);
-    begin_span.SetTxn(client.id, client.issued_txns);
-    s = site->BeginTransaction(txn_options, &txn);
-    begin_span.End();
+    SiteTxn txn(site, client, cluster_.write_phases());
+    s = txn.Begin(profile, route.min_begin_version);
     if (s.IsNotMaster()) {
       // Lost a race with a concurrent remastering; re-route.
       last_error = s;
@@ -158,36 +148,8 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
       continue;
     }
     if (!s.ok()) return s;
-    // SI read-snapshot validity (strong-session SI): the begin snapshot
-    // includes the client's session and any remastering grant point the
-    // router required (route.min_begin_version folds both).
-    DYNAMAST_INVARIANT(
-        txn.begin_version().DominatesOrEquals(route.min_begin_version),
-        "write txn began at " + txn.begin_version().ToString() +
-            " below routed minimum " + route.min_begin_version.ToString());
-
-    SiteTxnContext context(site, &txn);
-    trace::Span exec_span(tracer, "execute", "txn", route.site, client.id,
-                          phase_us_.execute);
-    exec_span.SetTxn(client.id, client.issued_txns);
-    s = logic(context);
-    // Settle the logic's charged service time inside its own phase rather
-    // than at the start of commit (which would settle it anyway).
-    site->SettleCharges();
-    exec_span.End();
-    if (!s.ok()) {
-      site->Abort(&txn, s);
-      return s;
-    }
-    VersionVector commit_version;
-    trace::Span commit_span(tracer, "commit", "txn", route.site, client.id,
-                            phase_us_.commit);
-    commit_span.SetTxn(client.id, client.issued_txns);
-    s = site->Commit(&txn, &commit_version);
-    commit_span.End();
+    s = txn.Run(logic, result);
     if (!s.ok()) return s;
-    client.session.MaxWith(commit_version);
-    result->executed_at = route.site;
     result->remastered = route.remastered;
     return Status::OK();
   }
@@ -197,7 +159,6 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
 Status DynaMastSystem::ExecuteRead(ClientState& client,
                                    const TxnProfile& profile,
                                    const TxnLogic& logic, TxnResult* result) {
-  (void)profile;
   net::SimulatedNetwork& net = cluster_.network();
   Status last_error = Status::Internal("no attempt made");
   for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
@@ -212,43 +173,21 @@ Status DynaMastSystem::ExecuteRead(ClientState& client,
                   kExecResponseBytes);
     site::AdmissionGate::Scoped slot(site->gate());
 
-    site::TxnOptions txn_options;
-    txn_options.read_only = true;
-    txn_options.min_begin_version = client.session;
-    txn_options.client = client.id;
-    txn_options.client_txn = client.issued_txns;
-    site::Transaction txn;
-    s = site->BeginTransaction(txn_options, &txn);
+    SiteTxn txn(site, client);
+    s = txn.Begin(profile, client.session);
     if (!s.ok()) return s;
-    // Strong-session SI: the read snapshot must include everything this
-    // client has already observed.
-    DYNAMAST_INVARIANT(txn.begin_version().DominatesOrEquals(client.session),
-                       "read txn began at " + txn.begin_version().ToString() +
-                           " below client session " +
-                           client.session.ToString());
-
-    SiteTxnContext context(site, &txn);
-    s = logic(context);
-    if (!s.ok()) {
-      site->Abort(&txn, s);
-      // A hot writer can prune every version a just-taken snapshot could
-      // see (retention is bounded per record). Read-only transactions hold
-      // no locks and have no effects, so simply rerun on a fresher
-      // snapshot; strong-session SI is preserved because any newer
-      // snapshot still dominates the session.
-      if (s.IsSnapshotTooOld()) {
-        last_error = s;
-        result->retries++;
-        continue;
-      }
-      return s;
+    s = txn.Run(logic, result);
+    // A hot writer can prune every version a just-taken snapshot could
+    // see (retention is bounded per record). Read-only transactions hold
+    // no locks and have no effects, so simply rerun on a fresher
+    // snapshot; strong-session SI is preserved because any newer snapshot
+    // still dominates the session.
+    if (s.IsSnapshotTooOld()) {
+      last_error = s;
+      result->retries++;
+      continue;
     }
-    VersionVector commit_version;
-    s = site->Commit(&txn, &commit_version);
-    if (!s.ok()) return s;
-    client.session.MaxWith(commit_version);
-    result->executed_at = site_id;
-    return Status::OK();
+    return s;
   }
   return last_error;
 }

@@ -78,17 +78,14 @@ class DynaMastSystem final : public SystemInterface {
   // data site), timed into txn_phase_us{phase=network}.
   void ClientRoundTrip(size_t request_bytes, size_t response_bytes);
 
-  // Write-transaction phase timers, the breakdown of Figure 7 / Appendix
-  // D: txn_phase_us{phase} for the routing decision (including any
-  // remastering), each client RPC, begin (session wait + locks), the
-  // stored-procedure logic and commit. The slot wait between the RPC and
-  // begin is site_admission_wait_us; it is not timed twice.
+  // DynaMast's own write-transaction phase timers, the front half of the
+  // breakdown of Figure 7 / Appendix D: txn_phase_us{phase} for the
+  // routing decision (including any remastering) and each client RPC. The
+  // slot wait between the RPC and begin is site_admission_wait_us; begin,
+  // execute and commit are Cluster::write_phases().
   struct PhaseHistograms {
     metrics::Histogram* route = nullptr;
     metrics::Histogram* network = nullptr;
-    metrics::Histogram* begin = nullptr;
-    metrics::Histogram* execute = nullptr;
-    metrics::Histogram* commit = nullptr;
   };
 
   Options options_;

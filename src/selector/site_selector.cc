@@ -362,28 +362,26 @@ Status SiteSelector::RouteRead(ClientId client,
                                SiteId* out_site) {
   (void)client;
   exported_.routes_read->Increment();
-  // Gather sites satisfying the session freshness guarantee; pick one at
-  // random (Section IV-B: minimizes blocking and spreads load). If none
-  // qualify (selector view may be stale), fall back to the freshest site;
-  // the begin path will block until the session requirement is met.
+  MutexLock guard(rng_mu_);
+  *out_site = PickReadSite(sites_, client_session, rng_);
+  return Status::OK();
+}
+
+SiteId PickReadSite(std::span<site::SiteManager* const> sites,
+                    const VersionVector& session, Random& rng) {
   std::vector<SiteId> fresh;
   SiteId freshest = 0;
   uint64_t freshest_total = 0;
-  for (SiteId s = 0; s < options_.num_sites; ++s) {
+  for (SiteId s = 0; s < sites.size(); ++s) {
     uint64_t total = 0;
-    if (sites_[s]->FreshnessProbe(client_session, &total)) fresh.push_back(s);
+    if (sites[s]->FreshnessProbe(session, &total)) fresh.push_back(s);
     if (total >= freshest_total) {
       freshest_total = total;
       freshest = s;
     }
   }
-  if (fresh.empty()) {
-    *out_site = freshest;
-  } else {
-    MutexLock guard(rng_mu_);
-    *out_site = fresh[rng_.Uniform(fresh.size())];
-  }
-  return Status::OK();
+  if (fresh.empty()) return freshest;
+  return fresh[rng.Uniform(fresh.size())];
 }
 
 }  // namespace dynamast::selector

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/debug_mutex.h"
@@ -22,6 +23,13 @@
 #include "site/site_manager.h"
 
 namespace dynamast::selector {
+
+/// The read-site pick of Section IV-B: a random site whose svv dominates
+/// `session` (minimizes blocking and spreads load). If none qualify, the
+/// freshest site by svv element sum; its begin then waits for the session.
+/// The caller holds the lock guarding `rng`.
+SiteId PickReadSite(std::span<site::SiteManager* const> sites,
+                    const VersionVector& session, Random& rng);
 
 /// Routing outcome for a write transaction (Algorithm 1's return value):
 /// the execution site and the minimum version vector the transaction must

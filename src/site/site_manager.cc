@@ -212,7 +212,7 @@ Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   // atomic with respect to Release draining this partition.
   {
     MutexLock guard(state_mu_);
-    if (options_.enforce_mastership && !opts.skip_mastership_check) {
+    if (options_.enforce_mastership) {
       for (PartitionId p : partitions) {
         if (mastered_.find(p) == mastered_.end()) {
           Status s = Status::NotMaster("site " + std::to_string(site_id()) +
@@ -239,10 +239,7 @@ Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   }
   if (!s.ok()) {
     MutexLock guard(state_mu_);
-    for (PartitionId p : txn->write_partitions_) {
-      if (--active_writers_[p] == 0) active_writers_.erase(p);
-    }
-    state_cv_.notify_all();
+    UnregisterWritersLocked(*txn);
     CountAbort(s);
     return s;
   }
@@ -358,13 +355,7 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
     engine_.lock_manager().ReleaseAll(txn->locked_keys_, txn->id_);
     if (!txn->write_partitions_.empty()) {
       MutexLock guard(state_mu_);
-      for (PartitionId p : txn->write_partitions_) {
-        auto it = active_writers_.find(p);
-        if (it != active_writers_.end() && --it->second == 0) {
-          active_writers_.erase(it);
-        }
-      }
-      state_cv_.notify_all();
+      UnregisterWritersLocked(*txn);
     }
     *commit_version = txn->begin_version_;
     if (history_ != nullptr) {
@@ -427,12 +418,7 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
     // topic order equals commit order (appliers rely on it).
     logs_->TopicFor(site_id())->Append(std::move(payload));
     svv_[site_id()] = seq;
-    for (PartitionId p : txn->write_partitions_) {
-      auto it = active_writers_.find(p);
-      if (it != active_writers_.end() && --it->second == 0) {
-        active_writers_.erase(it);
-      }
-    }
+    UnregisterWritersLocked(*txn);
     *commit_version = tvv;
     if (history_ != nullptr) {
       // Record inside the critical section so the recorder's global order
@@ -442,7 +428,6 @@ Status SiteManager::Commit(Transaction* txn, VersionVector* commit_version) {
       event.installed_seq = seq;
       history_->Record(std::move(event));
     }
-    state_cv_.notify_all();
   }
 
   FlushInstallMetrics(installs);
@@ -462,15 +447,19 @@ void SiteManager::Abort(Transaction* txn, const Status& reason) {
   engine_.lock_manager().ReleaseAll(txn->locked_keys_, txn->id_);
   if (!txn->write_partitions_.empty()) {
     MutexLock guard(state_mu_);
-    for (PartitionId p : txn->write_partitions_) {
-      auto it = active_writers_.find(p);
-      if (it != active_writers_.end() && --it->second == 0) {
-        active_writers_.erase(it);
-      }
-    }
-    state_cv_.notify_all();
+    UnregisterWritersLocked(*txn);
   }
   CountAbort(reason);
+}
+
+void SiteManager::UnregisterWritersLocked(const Transaction& txn) {
+  for (PartitionId p : txn.write_partitions_) {
+    auto it = active_writers_.find(p);
+    if (it != active_writers_.end() && --it->second == 0) {
+      active_writers_.erase(it);
+    }
+  }
+  state_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -665,15 +654,17 @@ bool SiteManager::ApplyRefreshRecord(log::LogRecord record) {
       InstallVersion(w.key, origin, seq, std::move(w.value), &installs);
     }
     // Markers carry no writes; applying them just advances the origin slot,
-    // preserving the dense per-origin sequence.
+    // preserving the dense per-origin sequence. The applied count moves
+    // first (a lock-free counter), so whoever observes the new svv also
+    // observes the count.
+    exported_.refresh_applied->Increment();
     svv_[origin] = seq;
     state_cv_.notify_all();
   }
-  // Metric emission happens after svv publication: the refresh is already
-  // visible to waiters, and the histogram leaf locks stay out of the
-  // applier's critical section.
+  // Histogram emission happens after svv publication: the refresh is
+  // already visible to waiters, and the histogram leaf locks stay out of
+  // the applier's critical section.
   FlushInstallMetrics(installs);
-  exported_.refresh_applied->Increment();
   if (record.append_ts_us > 0) {
     // End-to-end refresh delay: origin append to local visibility. Both
     // ends use the shared process clock (metrics::NowMicros), so the

@@ -185,6 +185,11 @@ class SiteManager {
                                    SiteId peer)
       DYNAMAST_REQUIRES(state_mu_);
 
+  // Drops `txn` from the active-writer counts of its write partitions and
+  // wakes the waiters (Release drains on these counts).
+  void UnregisterWritersLocked(const Transaction& txn)
+      DYNAMAST_REQUIRES(state_mu_);
+
   // Transaction helpers (called by Transaction).
   Status TxnGet(Transaction* txn, const RecordKey& key, std::string* value);
   Status TxnPut(Transaction* txn, const RecordKey& key, std::string value,

@@ -31,10 +31,6 @@ struct TxnOptions {
 
   bool read_only = false;
 
-  /// If true (baseline 2PC participants), mastership enforcement is
-  /// skipped for this transaction even when the site enforces it.
-  bool skip_mastership_check = false;
-
   /// Issuing client session, for history recording (0 = sessionless).
   ClientId client = 0;
 

@@ -1,9 +1,10 @@
 // Tests for the simulated network, admission gate, partitioners, the
-// system factory and the DynaMast phase timers.
+// system factory and the transaction phase timers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -255,19 +256,27 @@ TEST(SystemFactoryTest, NamesAreDistinct) {
 
 // ---- Phase instrumentation ---------------------------------------------------
 
-TEST(TxnPhaseTest, WriteTransactionRecordsAllPhases) {
+// Every system's one-site write transaction feeds the begin, execute and
+// commit phases; route and network are DynaMast's routing tier alone. A
+// read-only transaction feeds no phase.
+class TxnPhaseTest : public ::testing::TestWithParam<workloads::SystemKind> {};
+
+TEST_P(TxnPhaseTest, WriteTransactionRecordsAllPhases) {
+  const workloads::SystemKind kind = GetParam();
+  const bool routed = kind == workloads::SystemKind::kDynaMast ||
+                      kind == workloads::SystemKind::kSingleMaster;
   RangePartitioner partitioner(10, 10);
   metrics::Registry registry;
-  core::DynaMastSystem::Options options;
-  options.cluster.num_sites = 2;
-  options.cluster.metrics = &registry;
-  options.cluster.network.charge_delays = false;
-  options.cluster.site.read_op_cost = options.cluster.site.write_op_cost =
-      options.cluster.site.apply_op_cost = std::chrono::microseconds(0);
-  core::DynaMastSystem system(options, &partitioner);
-  ASSERT_TRUE(system.CreateTable(0).ok());
-  ASSERT_TRUE(system.LoadRow(RecordKey{0, 1}, "x").ok());
-  system.Seal();
+  workloads::DeploymentOptions deployment;
+  deployment.num_sites = 2;
+  deployment.metrics = &registry;
+  deployment.charge_network = false;
+  deployment.read_op_cost = deployment.write_op_cost =
+      deployment.apply_op_cost = std::chrono::microseconds(0);
+  auto system = workloads::MakeSystem(kind, deployment, partitioner);
+  ASSERT_TRUE(system->CreateTable(0).ok());
+  ASSERT_TRUE(system->LoadRow(RecordKey{0, 1}, "x").ok());
+  system->Seal();
 
   core::ClientState client;
   client.id = 1;
@@ -275,28 +284,58 @@ TEST(TxnPhaseTest, WriteTransactionRecordsAllPhases) {
   profile.write_keys = {RecordKey{0, 1}};
   core::TxnResult result;
   ASSERT_TRUE(system
-                  .Execute(client, profile,
-                           [](core::TxnContext& ctx) {
-                             return ctx.Put(RecordKey{0, 1}, "y");
-                           },
-                           &result)
+                  ->Execute(client, profile,
+                            [](core::TxnContext& ctx) {
+                              return ctx.Put(RecordKey{0, 1}, "y");
+                            },
+                            &result)
                   .ok());
-  auto count = [&](const char* phase) {
-    return registry.HistogramRecorder("txn_phase_us", {{"phase", phase}})
-        ->count();
+  auto count = [&](const char* phase) -> uint64_t {
+    const LatencyRecorder* r =
+        registry.HistogramRecorder("txn_phase_us", {{"phase", phase}});
+    return r == nullptr ? 0 : r->count();
   };
-  EXPECT_EQ(count("route"), 1u);
-  // One observation per client RPC: to the selector, then to the site.
-  EXPECT_EQ(count("network"), 2u);
-  EXPECT_EQ(count("begin"), 1u);
-  EXPECT_EQ(count("execute"), 1u);
-  EXPECT_EQ(count("commit"), 1u);
+  auto expect_phases = [&] {
+    EXPECT_EQ(count("route"), routed ? 1u : 0u);
+    // One observation per client RPC: to the selector, then to the site.
+    EXPECT_EQ(count("network"), routed ? 2u : 0u);
+    EXPECT_EQ(count("begin"), 1u);
+    EXPECT_EQ(count("execute"), 1u);
+    EXPECT_EQ(count("commit"), 1u);
+  };
+  expect_phases();
   // The slot wait is the site's own admission histogram.
   const metrics::Labels site = {{"site", std::to_string(result.executed_at)}};
   EXPECT_EQ(registry.HistogramRecorder("site_admission_wait_us", site)->count(),
             1u);
-  system.Shutdown();
+
+  core::TxnProfile read;
+  read.read_only = true;
+  read.read_keys = {RecordKey{0, 1}};
+  std::string value;
+  ASSERT_TRUE(system
+                  ->Execute(client, read,
+                            [&value](core::TxnContext& ctx) {
+                              return ctx.Get(RecordKey{0, 1}, &value);
+                            },
+                            nullptr)
+                  .ok());
+  EXPECT_EQ(value, "y");
+  expect_phases();
+  system->Shutdown();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Systems, TxnPhaseTest,
+    ::testing::Values(workloads::SystemKind::kDynaMast,
+                      workloads::SystemKind::kSingleMaster,
+                      workloads::SystemKind::kMultiMaster,
+                      workloads::SystemKind::kLeap),
+    [](const ::testing::TestParamInfo<workloads::SystemKind>& info) {
+      std::string name = workloads::SystemKindName(info.param);
+      std::erase(name, '-');
+      return name;
+    });
 
 }  // namespace
 }  // namespace dynamast
