@@ -42,6 +42,10 @@
 #   lock-profile the same short run on the lock-profile preset; prints
 #                every lock_* series and fails unless site.state has a
 #                measured hold time (runs and skips with observability)
+#   figures      every figure of bench_figures at a tiny size; jq checks
+#                the metrics rows: one per run (123), a distinct
+#                (bench, point, system) triple each, and the config that
+#                ran (E12 sites 4/8/12/16, E1 clients 1/2/4)
 #
 # Every stage runs even if an earlier one failed; the summary table at the
 # end shows PASS/FAIL/SKIP per stage and the exit code propagates any
@@ -133,8 +137,8 @@ fi
 obs_bench() {  # obs_bench <build-dir> <extra bench flags...>
   local dir="$1"
   shift
-  "./$dir/bench/bench_ycsb_skew" --seconds=0.5 --warmup=0.3 --clients=8 \
-    --scale=0.1 --systems=dynamast "$@"
+  "./$dir/bench/bench_figures" --figure=E7 --seconds=0.5 --warmup=0.3 \
+    --clients=8 --scale=0.1 --systems=dynamast "$@"
 }
 
 observability_stage() {
@@ -195,7 +199,7 @@ lock_profile_stage() {
   mkdir -p "$out"
   rm -f "$m"
   cmake --preset lock-profile &&
-    cmake --build build-lock-profile --target bench_ycsb_skew metrics_dump \
+    cmake --build build-lock-profile --target bench_figures metrics_dump \
       -j "$JOBS" || return 1
   obs_bench build-lock-profile --metrics-out="$m" || {
     echo "check.sh: lock-profile bench run failed" >&2
@@ -217,12 +221,45 @@ if [[ "${SKIP_OBS:-0}" == "1" ]]; then
 elif ! command -v jq >/dev/null 2>&1; then
   record observability SKIP "jq not installed"
   record lock-profile SKIP "jq not installed"
-elif [[ ! -x build/bench/bench_ycsb_skew ]]; then
+elif [[ ! -x build/bench/bench_figures ]]; then
   record observability SKIP "build failed"
   record lock-profile SKIP "build failed"
 else
   run_stage observability observability_stage
   run_stage lock-profile lock_profile_stage
+fi
+
+# 3c. Figures ----------------------------------------------------------------
+# Every figure at a tiny size. Each run writes one metrics row, and each
+# row must name its run and the config that actually ran.
+figures_stage() {
+  local out="${OBS_OUT:-build/observability}"
+  local m="$out/figures_metrics.json"
+  mkdir -p "$out"
+  rm -f "$m"
+  ./build/bench/bench_figures --figure=all --seconds=0.2 --warmup=0.1 \
+    --clients=4 --scale=0.05 --metrics-out="$m" > "$out/figures.txt" || {
+    echo "check.sh: bench_figures --figure=all failed" >&2
+    return 1
+  }
+  jq -se '
+    length == 123 and
+    ([.[] | [.bench, .point, .system]] | unique | length) == 123 and
+    ([.[] | select(.figure == "E12") | .config.sites] == [4, 8, 12, 16]) and
+    ([.[] | select(.figure == "E1" and .system == "dynamast")
+       | .config.clients] == [1, 2, 4])
+  ' "$m" > /dev/null || {
+    echo "check.sh: figure metrics rows failed validation" >&2
+    return 1
+  }
+}
+
+if ! command -v jq >/dev/null 2>&1; then
+  record figures SKIP "jq not installed"
+elif [[ ! -x build/bench/bench_figures ]]; then
+  record figures SKIP "build failed"
+else
+  run_stage figures figures_stage
 fi
 
 # 4. Ignored inputs ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <unordered_map>
 
 #include "common/scheduler.h"
@@ -17,6 +18,30 @@ constexpr size_t kRpcRequestBytes = 256;
 constexpr size_t kRpcResponseBytes = 128;
 constexpr size_t kPrepareBytes = 96;
 constexpr size_t kCommitDecisionBytes = 64;
+
+/// A transaction's snapshot at each site it reads outside a sub-
+/// transaction, pinned at first touch so every read at one site sees one
+/// commit prefix. The read path's prefetch threads pin their owners
+/// concurrently.
+class OwnerSnapshots {
+ public:
+  const VersionVector& At(SiteId id, const site::SiteManager& site) {
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      auto it = snapshots_.find(id);
+      if (it != snapshots_.end()) return it->second;
+    }
+    // Read outside mu_ (the site lock is a scheduler sync point); the
+    // first pin wins. Nodes are stable across later inserts.
+    VersionVector current = site.CurrentVersion();
+    std::lock_guard<std::mutex> guard(mu_);
+    return snapshots_.emplace(id, std::move(current)).first->second;
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<SiteId, VersionVector> snapshots_;
+};
 
 }  // namespace
 
@@ -47,17 +72,17 @@ class CoordinatedTxnContext final : public core::TxnContext {
     // Partition-store: static read-only tables are replicated everywhere,
     // so a locally present row is served without a round trip. The
     // coordinator need not be a participant (random-coordinator mode), in
-    // which case the engine is read directly at the current snapshot.
+    // which case the engine is read directly at its pinned snapshot.
     site::SiteManager* coord_site = system_->cluster_.site(coordinator_);
     if (coord_site->engine().Contains(key)) {
       auto coord_txn = subtxns_->find(coordinator_);
       if (coord_txn != subtxns_->end()) {
         return coord_txn->second.Get(key, value);
       }
-      return coord_site->engine().Read(key, coord_site->CurrentVersion(),
-                                       value);
+      return coord_site->engine().Read(
+          key, snapshots_.At(coordinator_, *coord_site), value);
     }
-    // Otherwise: remote read round trip at the owner's snapshot.
+    // Otherwise: remote read round trip at the owner's pinned snapshot.
     system_->cluster_.network().RoundTrip(net::TrafficClass::kCoordination,
                                           kRpcRequestBytes, kRpcResponseBytes);
     // Participant-side work charges the owner's service time but does not
@@ -65,7 +90,8 @@ class CoordinatedTxnContext final : public core::TxnContext {
     // own sites, and slot-in-slot waiting deadlocks under load.
     site::SiteManager* owner_site = system_->cluster_.site(owner);
     owner_site->ChargeOps(1, 0);
-    return owner_site->engine().Read(key, owner_site->CurrentVersion(), value);
+    return owner_site->engine().Read(key, snapshots_.At(owner, *owner_site),
+                                     value);
   }
 
   Status Put(const RecordKey& key, std::string value) override {
@@ -92,6 +118,7 @@ class CoordinatedTxnContext final : public core::TxnContext {
   PartitionedSystem* system_;
   SiteId coordinator_;
   std::map<SiteId, site::Transaction>* subtxns_;
+  OwnerSnapshots snapshots_;  // non-participant sites
 };
 
 PartitionedSystem::PartitionedSystem(const Options& options,
@@ -381,12 +408,13 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
   }
   std::unordered_map<RecordKey, std::string, RecordKeyHash> prefetched;
   std::mutex prefetched_mu;
+  OwnerSnapshots snapshots;
   if (!remote_reads.empty()) {
     std::vector<std::thread> fetchers;
     const std::string parent = sched::CurrentThreadName();
     for (auto& [owner, keys] : remote_reads) {
       fetchers.emplace_back([this, owner = owner, &keys, &prefetched,
-                             &prefetched_mu, &parent] {
+                             &prefetched_mu, &snapshots, &parent] {
         sched::ThreadGuard sched_guard(parent + "/fetch/" +
                                        std::to_string(owner));
         cluster_.network().RoundTrip(net::TrafficClass::kCoordination,
@@ -396,7 +424,7 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
         // Charge the owner's read service time without occupying a slot
         // (slot-in-slot waiting deadlocks; the coordinator holds one).
         site->ChargeOps(keys.size(), 0);
-        const VersionVector snapshot = site->CurrentVersion();
+        const VersionVector& snapshot = snapshots.At(owner, *site);
         for (const RecordKey& key : keys) {
           std::string value;
           if (site->engine().Read(key, snapshot, &value).ok()) {
@@ -411,15 +439,16 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
   }
 
   // Undeclared remote reads (data-dependent, e.g. TPC-C Stock-Level order
-  // lines) fall back to one round trip per key; per-site snapshots are
-  // pinned at first touch.
+  // lines) fall back to one round trip per key, at the same per-site
+  // snapshots the prefetch pinned (or pinned now, at first touch).
   class ReadContext final : public core::TxnContext {
    public:
     ReadContext(PartitionedSystem* system, SiteId coordinator,
                 std::unordered_map<RecordKey, std::string, RecordKeyHash>*
-                    prefetched)
+                    prefetched,
+                OwnerSnapshots* snapshots)
         : system_(system), coordinator_(coordinator),
-          prefetched_(prefetched) {}
+          prefetched_(prefetched), snapshots_(snapshots) {}
 
     Status Get(const RecordKey& key, std::string* value) override {
       auto cached = prefetched_->find(key);
@@ -440,11 +469,7 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
             kRpcResponseBytes);
       }
       site::SiteManager* site = system_->cluster_.site(owner);
-      auto it = snapshots_.find(owner);
-      if (it == snapshots_.end()) {
-        it = snapshots_.emplace(owner, site->CurrentVersion()).first;
-      }
-      return site->engine().Read(key, it->second, value);
+      return site->engine().Read(key, snapshots_->At(owner, *site), value);
     }
     Status Put(const RecordKey&, std::string) override {
       return Status::InvalidArgument("write in read-only transaction");
@@ -457,10 +482,10 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
     PartitionedSystem* system_;
     SiteId coordinator_;
     std::unordered_map<RecordKey, std::string, RecordKeyHash>* prefetched_;
-    std::unordered_map<SiteId, VersionVector> snapshots_;
+    OwnerSnapshots* snapshots_;
   };
 
-  ReadContext context(this, coordinator, &prefetched);
+  ReadContext context(this, coordinator, &prefetched, &snapshots);
   Status s = logic(context);
   // No commit follows a read-only partition-store transaction: settle its
   // charged reads here.

@@ -22,7 +22,7 @@ namespace dynamast::selector {
 /// values than theirs evidently did, so the YCSB preset here uses
 /// balance=100 — large enough that balance dominates localization, small
 /// enough not to thrash placements chasing tiny imbalances (calibrated
-/// empirically; bench_sensitivity sweeps the axis).
+/// empirically; E9, bench_figures --figure=E9, sweeps the axis).
 struct StrategyWeights {
   double balance = 1.0;
   double delay = 0.5;

@@ -314,6 +314,93 @@ TEST(PartitionStoreTest, DistributedWriteCommitsAtomically) {
   system.Shutdown();
 }
 
+// A partition-store transaction pins one snapshot per site it reads
+// outside a sub-transaction: a commit that lands at that site mid-
+// transaction stays invisible to every later read there.
+
+// Commits `value` to `keys` directly at `site`, bypassing the system.
+Status CommitAt(site::SiteManager* site, std::vector<uint64_t> keys,
+                uint64_t value) {
+  site::TxnOptions options;
+  for (uint64_t key : keys) options.write_keys.push_back(RecordKey{kTable, key});
+  site::Transaction txn;
+  Status s = site->BeginTransaction(options, &txn);
+  if (!s.ok()) return s;
+  for (uint64_t key : keys) {
+    s = txn.Put(RecordKey{kTable, key}, Num(value));
+    if (!s.ok()) return s;
+  }
+  VersionVector commit_version;
+  return site->Commit(&txn, &commit_version);
+}
+
+PartitionedSystem::Options FixedCoordinatorPartitionStore() {
+  auto options = PartitionedSystem::PartitionStore(FastCluster(2),
+                                                   RangePlacement(10, 2));
+  options.random_coordinator = false;  // the coordinator owns the most keys
+  return options;
+}
+
+TEST(PartitionStoreTest, WriteTxnPinsOneSnapshotPerRemoteOwner) {
+  RangePartitioner partitioner(10, 10);
+  PartitionedSystem system(FixedCoordinatorPartitionStore(), &partitioner);
+  LoadKeys(system, 100, 7);
+  core::ClientState client;
+  client.id = 1;
+  core::TxnProfile profile;
+  profile.write_keys = {RecordKey{kTable, 5}};  // site 0 coordinates alone
+  uint64_t a = 0, b = 0;
+  auto logic = [&](core::TxnContext& ctx) -> Status {
+    std::string value;
+    Status s = ctx.Get(RecordKey{kTable, 95}, &value);  // remote, site 1
+    if (!s.ok()) return s;
+    a = AsNum(value);
+    s = CommitAt(system.cluster().site(1), {95, 96}, 8);
+    if (!s.ok()) return s;
+    s = ctx.Get(RecordKey{kTable, 96}, &value);
+    if (!s.ok()) return s;
+    b = AsNum(value);
+    return ctx.Put(RecordKey{kTable, 5}, Num(a + b));
+  };
+  ASSERT_TRUE(system.Execute(client, profile, logic, nullptr).ok());
+  EXPECT_EQ(a, 7u);
+  EXPECT_EQ(b, 7u) << "second read at site 1 saw a later commit";
+  system.Shutdown();
+}
+
+TEST(PartitionStoreTest, ReadTxnPinsOneSnapshotPerRemoteOwner) {
+  RangePartitioner partitioner(10, 10);
+  PartitionedSystem system(FixedCoordinatorPartitionStore(), &partitioner);
+  LoadKeys(system, 100, 7);
+  core::ClientState client;
+  client.id = 1;
+  core::TxnProfile profile;
+  profile.read_only = true;
+  // Two declared keys at site 0 make it the coordinator; key 95 is
+  // prefetched from site 1, key 96 is an undeclared read there.
+  profile.read_keys = {RecordKey{kTable, 5}, RecordKey{kTable, 6},
+                       RecordKey{kTable, 95}};
+  uint64_t a = 0, b = 0;
+  auto logic = [&](core::TxnContext& ctx) -> Status {
+    std::string value;
+    Status s = ctx.Get(RecordKey{kTable, 95}, &value);
+    if (!s.ok()) return s;
+    a = AsNum(value);
+    s = CommitAt(system.cluster().site(1), {95, 96}, 8);
+    if (!s.ok()) return s;
+    s = ctx.Get(RecordKey{kTable, 96}, &value);
+    if (!s.ok()) return s;
+    b = AsNum(value);
+    return Status::OK();
+  };
+  core::TxnResult result;
+  ASSERT_TRUE(system.Execute(client, profile, logic, &result).ok());
+  EXPECT_TRUE(result.distributed);
+  EXPECT_EQ(a, 7u);
+  EXPECT_EQ(b, 7u) << "undeclared read at site 1 saw a later commit";
+  system.Shutdown();
+}
+
 // ---- LEAP ---------------------------------------------------------------------
 
 TEST(LeapTest, ShipsPartitionsToExecutionSite) {
