@@ -44,8 +44,9 @@
 #                measured hold time (runs and skips with observability)
 #   figures      every figure of bench_figures at a tiny size; jq checks
 #                the metrics rows: one per run (123), a distinct
-#                (bench, point, system) triple each, and the config that
-#                ran (E12 sites 4/8/12/16, E1 clients 1/2/4)
+#                (bench, point, system) triple each, the config that
+#                ran (E12 sites 4/8/12/16, E1 clients 1/2/4), and a
+#                system name each from the five systems' names
 #
 # Every stage runs even if an earlier one failed; the summary table at the
 # end shows PASS/FAIL/SKIP per stage and the exit code propagates any
@@ -247,7 +248,9 @@ figures_stage() {
     ([.[] | [.bench, .point, .system]] | unique | length) == 123 and
     ([.[] | select(.figure == "E12") | .config.sites] == [4, 8, 12, 16]) and
     ([.[] | select(.figure == "E1" and .system == "dynamast")
-       | .config.clients] == [1, 2, 4])
+       | .config.clients] == [1, 2, 4]) and
+    all(.[]; .system | IN("dynamast", "single-master", "multi-master",
+                          "partition-store", "leap"))
   ' "$m" > /dev/null || {
     echo "check.sh: figure metrics rows failed validation" >&2
     return 1

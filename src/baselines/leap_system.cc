@@ -11,6 +11,9 @@ namespace {
 constexpr size_t kRpcRequestBytes = 256;
 constexpr size_t kRpcResponseBytes = 128;
 constexpr size_t kShipRequestBytes = 64;
+// A begin the execution site refuses with NotMaster is retried this many
+// times.
+constexpr uint32_t kMaxRetries = 16;
 
 // LEAP keeps no replicas, so its cluster must never run refresh appliers.
 // The flag has to be cleared *before* Cluster is constructed: an applier
@@ -32,7 +35,6 @@ LeapSystem::LeapSystem(const Options& options, const Partitioner* partitioner)
           cluster_.metrics()->GetCounter("leap_shipped_partitions_total")),
       shipped_bytes_(
           cluster_.metrics()->GetCounter("leap_shipped_bytes_total")) {
-  options_.cluster.replicated = false;
   if (options_.placement.size() < partitioner->NumPartitions()) {
     options_.placement.resize(partitioner->NumPartitions(), 0);
   }
@@ -241,7 +243,7 @@ Status LeapSystem::Execute(core::ClientState& client,
   };
 
   Status last_error = Status::Internal("no attempt");
-  for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     // The locks stay held until BeginTransaction has registered the
     // transaction at `dest`: released any earlier, a concurrent
     // transaction could ship a partition away during the exec RPC or the

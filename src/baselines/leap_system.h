@@ -33,14 +33,12 @@ class LeapSystem final : public core::SystemInterface {
     core::Cluster::Options cluster;
     /// Initial partition -> owner placement (e.g. RangePlacement).
     std::vector<SiteId> placement;
-    uint32_t max_retries = 16;
-    std::string display_name = "leap";
   };
 
   LeapSystem(const Options& options, const Partitioner* partitioner);
   ~LeapSystem() override;
 
-  std::string name() const override { return options_.display_name; }
+  std::string name() const override { return "leap"; }
   Status CreateTable(TableId id) override { return cluster_.CreateTable(id); }
   Status LoadRow(const RecordKey& key, std::string value) override;
   Status LoadReplicatedRow(const RecordKey& key, std::string value) override;

@@ -65,7 +65,7 @@ class CoordinatedTxnContext final : public core::TxnContext {
       // (sees this transaction's staged writes).
       return it->second.Get(key, value);
     }
-    if (system_->options_.replicated) {
+    if (system_->options_.cluster.replicated) {
       // Multi-master: a local replica serves the read.
       return subtxns_->at(coordinator_).Get(key, value);
     }
@@ -139,7 +139,7 @@ PartitionedSystem::PartitionedSystem(const Options& options,
 PartitionedSystem::~PartitionedSystem() { Shutdown(); }
 
 Status PartitionedSystem::LoadRow(const RecordKey& key, std::string value) {
-  if (options_.replicated) {
+  if (options_.cluster.replicated) {
     for (SiteId s = 0; s < cluster_.num_sites(); ++s) {
       Status status = cluster_.site(s)->LoadRecord(key, value);
       if (!status.ok()) return status;
@@ -227,7 +227,7 @@ Status PartitionedSystem::Execute(core::ClientState& client,
   // The pure-local fast path requires replicas: without them, reads of
   // rows the executing site does not own need the coordinated context's
   // remote-read machinery even when the write set is single-sited.
-  if (one_site && options_.replicated) {
+  if (one_site && options_.cluster.replicated) {
     cluster_.network().RoundTrip(
         net::TrafficClass::kClientRequest,
         kRpcRequestBytes + 32 * profile.write_keys.size(), kRpcResponseBytes);
@@ -275,7 +275,7 @@ Status PartitionedSystem::ExecuteDistributedWrite(
     site::SiteManager* site = cluster_.site(p);
     site::TxnOptions options;
     options.write_keys = writes_by_site[p];
-    options.min_begin_version = options_.replicated
+    options.min_begin_version = options_.cluster.replicated
                                     ? client.session
                                     : core::MaskToIndex(client.session, p);
     options.client = client.id;
@@ -341,7 +341,7 @@ Status PartitionedSystem::ExecuteRead(core::ClientState& client,
                                       core::TxnResult* result) {
   net::SimulatedNetwork& net = cluster_.network();
 
-  if (options_.replicated) {
+  if (options_.cluster.replicated) {
     // Multi-master: any session-fresh replica serves the whole
     // transaction.
     SiteId site_id;

@@ -16,11 +16,11 @@ namespace dynamast::baselines {
 /// The two statically partitioned baselines of Section VI-A1, sharing one
 /// implementation:
 ///
-///  * **multi-master** (`replicated = true`): every data item has one
+///  * **multi-master** (`cluster.replicated = true`): every data item has one
 ///    static master copy; updates run on masters, with two-phase commit
 ///    for multi-site write sets; lazily maintained replicas let read-only
 ///    transactions run at any (session-fresh) site.
-///  * **partition-store** (`replicated = false`): same static masters and
+///  * **partition-store** (`cluster.replicated = false`): same static masters and
 ///    2PC, but no replicas at all — reads of remote partitions are remote
 ///    round trips, and multi-partition read-only transactions fan out
 ///    across sites (the straggler effect of Section VI-B2).
@@ -33,7 +33,6 @@ class PartitionedSystem final : public core::SystemInterface {
     core::Cluster::Options cluster;
     /// partition -> owning site (e.g. baselines::RangePlacement).
     std::vector<SiteId> placement;
-    bool replicated = true;
     /// If true, each transaction's coordinating site is chosen at random
     /// (a placement-oblivious client front): every operation on data the
     /// coordinator does not own pays remote round trips — the
@@ -44,7 +43,6 @@ class PartitionedSystem final : public core::SystemInterface {
     /// Probability that a prepare vote is "no" (failure injection for
     /// atomicity tests). Zero in benchmarks.
     double injected_abort_probability = 0.0;
-    std::string display_name = "multi-master";
     uint64_t seed = 7;
   };
 
@@ -54,8 +52,6 @@ class PartitionedSystem final : public core::SystemInterface {
     o.cluster = std::move(cluster);
     o.cluster.replicated = true;
     o.placement = std::move(placement);
-    o.replicated = true;
-    o.display_name = "multi-master";
     return o;
   }
 
@@ -65,16 +61,17 @@ class PartitionedSystem final : public core::SystemInterface {
     o.cluster = std::move(cluster);
     o.cluster.replicated = false;
     o.placement = std::move(placement);
-    o.replicated = false;
     o.random_coordinator = true;
-    o.display_name = "partition-store";
     return o;
   }
 
   PartitionedSystem(const Options& options, const Partitioner* partitioner);
   ~PartitionedSystem() override;
 
-  std::string name() const override { return options_.display_name; }
+  /// "multi-master" when replicated, "partition-store" otherwise.
+  std::string name() const override {
+    return options_.cluster.replicated ? "multi-master" : "partition-store";
+  }
   Status CreateTable(TableId id) override { return cluster_.CreateTable(id); }
   Status LoadRow(const RecordKey& key, std::string value) override;
   Status LoadReplicatedRow(const RecordKey& key, std::string value) override;

@@ -84,7 +84,6 @@ struct Engine {
   std::atomic<uint64_t> epoch{1};
   std::atomic<uint64_t> next_thread_token{0};
   std::atomic<uint64_t> points{0};
-  std::atomic<uint64_t> perturbations{0};
   // Bumped on every Start*/Stop* so stale OpScopes / thread tokens from a
   // previous run are ignored.
   std::atomic<uint64_t> run_id{1};
@@ -187,7 +186,6 @@ void Perturb(const char* site_name) {
   const uint64_t roll = r % 100;
   const uint64_t threshold = 17 - 2 * t.priority;
   if (roll >= threshold) return;
-  g.perturbations.fetch_add(1, std::memory_order_relaxed);
 
   if ((r >> 8) % 4 != 0) {
     std::this_thread::yield();
@@ -706,7 +704,6 @@ void Enable(uint64_t seed) {
   g.seed.store(seed, std::memory_order_relaxed);
   g.next_thread_token.store(0, std::memory_order_relaxed);
   g.points.store(0, std::memory_order_relaxed);
-  g.perturbations.store(0, std::memory_order_relaxed);
   g.epoch.fetch_add(1, std::memory_order_relaxed);
   g.mode.store(static_cast<uint8_t>(Mode::kFuzz), std::memory_order_release);
 }
@@ -718,18 +715,8 @@ void Disable() {
   g_engine.cv.notify_all();
 }
 
-bool IsEnabled() { return CurrentMode() != Mode::kOff; }
-
-uint64_t CurrentSeed() {
-  return g_engine.seed.load(std::memory_order_relaxed);
-}
-
 uint64_t PointCount() {
   return g_engine.points.load(std::memory_order_relaxed);
-}
-
-uint64_t PerturbationCount() {
-  return g_engine.perturbations.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -917,7 +904,6 @@ void StartRecord(uint64_t seed, bool fuzz_layer) {
   g.fuzz_layer.store(fuzz_layer, std::memory_order_relaxed);
   g.next_thread_token.store(0, std::memory_order_relaxed);
   g.points.store(0, std::memory_order_relaxed);
-  g.perturbations.store(0, std::memory_order_relaxed);
   g.epoch.fetch_add(1, std::memory_order_relaxed);
   g.mode.store(static_cast<uint8_t>(Mode::kRecord), std::memory_order_release);
 }

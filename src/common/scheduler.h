@@ -70,12 +70,8 @@ void Enable(uint64_t seed);
 /// Disarms the engine entirely (any mode back to kOff).
 void Disable();
 
-bool IsEnabled();
-uint64_t CurrentSeed();
-
-/// Schedule points hit / perturbations injected since the last Enable.
+/// Schedule points hit since the last Enable.
 uint64_t PointCount();
-uint64_t PerturbationCount();
 
 /// RAII enable-for-scope, the shape tests use:
 ///   for (uint64_t seed : seeds) { sched::ScopedSeed fuzz(seed); ... }

@@ -16,6 +16,9 @@ constexpr size_t kRouteRequestBytes = 128;
 constexpr size_t kRouteResponseBytes = 64;
 constexpr size_t kExecRequestBaseBytes = 256;
 constexpr size_t kExecResponseBytes = 128;
+// Routing races (a partition remastered away between routing and begin)
+// are retried this many times.
+constexpr uint32_t kMaxRetries = 16;
 }  // namespace
 
 DynaMastSystem::DynaMastSystem(const Options& options,
@@ -110,7 +113,7 @@ Status DynaMastSystem::ExecuteWrite(ClientState& client,
 
   trace::Tracer* tracer = cluster_.tracer();
   Status last_error = Status::Internal("no attempt made");
-  for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     // begin_transaction RPC: client -> site selector, carrying the write
     // set (Section III-B).
     ClientRoundTrip(kRouteRequestBytes + 8 * partitions.size(),
@@ -161,7 +164,7 @@ Status DynaMastSystem::ExecuteRead(ClientState& client,
                                    const TxnLogic& logic, TxnResult* result) {
   net::SimulatedNetwork& net = cluster_.network();
   Status last_error = Status::Internal("no attempt made");
-  for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     net.RoundTrip(net::TrafficClass::kClientRequest, kRouteRequestBytes,
                   kRouteResponseBytes);
     SiteId site_id = 0;

@@ -37,18 +37,11 @@ class DynaMastSystem final : public SystemInterface {
     selector::SelectorOptions selector;
     InitialPlacement placement = InitialPlacement::kRoundRobin;
     std::vector<SiteId> custom_placement;  // for kCustom
-    /// Routing races (a partition remastered away between routing and
-    /// begin) are retried this many times.
-    uint32_t max_retries = 16;
-    /// Reported by name(); lets the single-master configuration identify
-    /// itself in experiment output.
-    std::string display_name = "dynamast";
   };
 
   /// Convenience: single-master configuration of the same machinery.
   static Options SingleMasterOptions(Options base) {
     base.placement = InitialPlacement::kAllAtSiteZero;
-    base.display_name = "single-master";
     return base;
   }
 
@@ -56,7 +49,12 @@ class DynaMastSystem final : public SystemInterface {
   DynaMastSystem(const Options& options, const Partitioner* partitioner);
   ~DynaMastSystem() override;
 
-  std::string name() const override { return options_.display_name; }
+  /// "single-master" under kAllAtSiteZero, "dynamast" otherwise.
+  std::string name() const override {
+    return options_.placement == InitialPlacement::kAllAtSiteZero
+               ? "single-master"
+               : "dynamast";
+  }
   Status CreateTable(TableId id) override { return cluster_.CreateTable(id); }
   Status LoadRow(const RecordKey& key, std::string value) override;
   void Seal() override;

@@ -34,7 +34,6 @@ SimulatedNetwork::SimulatedNetwork(const Options& options,
     class_metrics_[i].bytes = metrics->GetCounter("net_bytes_total", labels);
   }
   inflight_ = metrics->GetGauge("net_inflight_messages");
-  link_lag_us_ = metrics->GetGauge("net_link_lag_us");
 }
 
 void SimulatedNetwork::Count(TrafficClass c, size_t bytes) {
@@ -51,20 +50,6 @@ std::chrono::nanoseconds SimulatedNetwork::Transmission(size_t bytes) const {
   return options_.per_kilobyte * static_cast<int64_t>(bytes / 1024 + 1);
 }
 
-std::chrono::nanoseconds SimulatedNetwork::ReserveLink(
-    std::chrono::nanoseconds transmission) {
-  // Transmission occupies the shared wire back-to-back, while propagation
-  // latency overlaps across messages.
-  MutexLock lock(link_mu_);
-  const auto now = std::chrono::steady_clock::now();
-  const auto start = link_busy_until_ > now ? link_busy_until_ : now;
-  link_busy_until_ = start + transmission;
-  // Delivery lag: how long a message appended now waits for the wire.
-  link_lag_us_->Set(
-      std::chrono::duration<double, std::micro>(start - now).count());
-  return link_busy_until_ - now;
-}
-
 void SimulatedNetwork::Deliver(std::chrono::nanoseconds delay) {
   if (!options_.charge_delays) {
     // No network delay, but the sender's own pending work still lands
@@ -79,21 +64,11 @@ void SimulatedNetwork::Deliver(std::chrono::nanoseconds delay) {
 
 void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
   Count(c, bytes);
-  const auto transmission = Transmission(bytes);
-  Deliver(options_.one_way_latency +
-          (options_.charge_delays && options_.serialize_link
-               ? ReserveLink(transmission)
-               : transmission));
+  Deliver(options_.one_way_latency + Transmission(bytes));
 }
 
 void SimulatedNetwork::RoundTrip(TrafficClass c, size_t request_bytes,
                                  size_t response_bytes) {
-  if (options_.charge_delays && options_.serialize_link) {
-    // Each leg queues for the shared wire on its own.
-    Send(c, request_bytes);
-    Send(c, response_bytes);
-    return;
-  }
   // Both legs count as messages and deliveries, but the caller sleeps
   // once for the whole round trip.
   Count(c, request_bytes);

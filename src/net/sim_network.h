@@ -5,8 +5,8 @@
 #include <chrono>
 #include <cstdint>
 
-#include "common/debug_mutex.h"
 #include "common/metrics.h"
+#include "common/scheduler.h"
 #include "common/sim_clock.h"
 
 namespace dynamast::net {
@@ -48,11 +48,6 @@ class SimulatedNetwork {
     std::chrono::nanoseconds per_kilobyte{800};
     /// If false, no delay is charged (unit tests); counters still update.
     bool charge_delays = true;
-    /// If true, transmission time is serialized on a single shared link
-    /// (senders queue for the wire, as on one NIC) instead of every sender
-    /// paying its transmission cost independently (infinite parallel
-    /// bandwidth). Propagation latency still overlaps across messages.
-    bool serialize_link = false;
   };
 
   /// Exports the per-class counters, delivery gauges and sleep-overshoot
@@ -65,11 +60,10 @@ class SimulatedNetwork {
 
   /// Charges the cost of sending one message of `bytes` payload and blocks
   /// the caller for the simulated delivery time plus its pending debt.
-  void Send(TrafficClass c, size_t bytes) DYNAMAST_EXCLUDES(link_mu_);
+  void Send(TrafficClass c, size_t bytes);
 
   /// A full round trip: request of `request_bytes` plus response of
-  /// `response_bytes`. Counts two messages but sleeps once for both legs,
-  /// except on a serialized link, where each leg queues for the wire.
+  /// `response_bytes`. Counts two messages but sleeps once for both legs.
   void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes);
 
   const Options& options() const { return options_; }
@@ -78,10 +72,6 @@ class SimulatedNetwork {
   // Counts one message and marks its delivery as a scheduler operation.
   void Count(TrafficClass c, size_t bytes);
   std::chrono::nanoseconds Transmission(size_t bytes) const;
-  // Reserves the shared wire for `transmission`; returns how long until
-  // the message is off the wire.
-  std::chrono::nanoseconds ReserveLink(std::chrono::nanoseconds transmission)
-      DYNAMAST_EXCLUDES(link_mu_);
   // Settles the caller's pending work plus `delay` (delay only when
   // charge_delays is set) as one message in flight.
   void Deliver(std::chrono::nanoseconds delay);
@@ -94,15 +84,8 @@ class SimulatedNetwork {
   };
   std::array<ClassMetrics, static_cast<size_t>(TrafficClass::kNumClasses)>
       class_metrics_{};
-  // Messages currently in flight (sleeping out their delivery time) and,
-  // in serialize_link mode, how far behind the shared wire is running.
+  // Messages currently in flight (sleeping out their delivery time).
   metrics::Gauge* inflight_ = nullptr;
-  metrics::Gauge* link_lag_us_ = nullptr;
-  // Serialized-link state: when the wire frees up. Leaf lock, held only to
-  // reserve a transmission slot (the sleep happens outside the lock).
-  DebugMutex link_mu_{"net.link"};
-  std::chrono::steady_clock::time_point link_busy_until_
-      DYNAMAST_GUARDED_BY(link_mu_){};
   // Scheduler identity of this network's delivery decision stream.
   uint32_t sched_uid_ = DYNAMAST_SCHED_REGISTER("net.deliver");
 };

@@ -4,6 +4,11 @@
 
 namespace dynamast::selector {
 
+namespace {
+// Per-client recent-transaction memory used for inter-txn detection.
+constexpr size_t kClientHistoryCapacity = 8;
+}  // namespace
+
 AccessStatistics::AccessStatistics(const Options& options,
                                    const std::vector<SiteId>& initial_masters)
     : options_(options),
@@ -62,7 +67,7 @@ void AccessStatistics::RecordWriteSet(ClientId client,
     }
   }
   recent.emplace_back(now, parts);
-  while (recent.size() > options_.client_history_capacity) {
+  while (recent.size() > kClientHistoryCapacity) {
     recent.pop_front();
   }
 

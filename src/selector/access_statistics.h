@@ -37,8 +37,6 @@ class AccessStatistics {
     size_t history_capacity = 8192;
     /// Samples also expire after this age (workload drift adaptation).
     std::chrono::milliseconds sample_ttl{15000};
-    /// Per-client recent-transaction memory used for inter-txn detection.
-    size_t client_history_capacity = 8;
   };
 
   using TimePoint = std::chrono::steady_clock::time_point;

@@ -11,9 +11,9 @@ constexpr size_t kMaxInlineCloses = 32;
 }  // namespace
 
 ConvergenceTracker::ConvergenceTracker(size_t num_partitions,
-                                       const Options& options)
-    : options_(options), states_(num_partitions) {
-  metrics::Registry* reg = metrics::Registry::OrGlobal(options_.metrics);
+                                       metrics::Registry* metrics)
+    : states_(num_partitions) {
+  metrics::Registry* reg = metrics::Registry::OrGlobal(metrics);
   relocalized_total_ = reg->GetCounter("selector_relocalized_partitions_total");
   time_to_relocalize_us_ = reg->GetHistogram("selector_time_to_relocalize_us");
 }
@@ -24,8 +24,7 @@ bool ConvergenceTracker::MaybeCloseLocked(PartitionState* state,
   if (state->window_start_us == 0 || state->last_transition_us == 0) {
     return false;
   }
-  if (!force &&
-      now_us < state->last_transition_us + options_.stability_window_us) {
+  if (!force && now_us < state->last_transition_us + kStabilityWindowUs) {
     return false;
   }
   *duration_us = state->last_transition_us - state->window_start_us;
@@ -91,15 +90,6 @@ void ConvergenceTracker::Flush(uint64_t now_us, bool force) {
 uint64_t ConvergenceTracker::relocalized() const {
   RawMutexLock guard(mu_);
   return relocalized_;
-}
-
-size_t ConvergenceTracker::open_windows() const {
-  RawMutexLock guard(mu_);
-  size_t open = 0;
-  for (const PartitionState& state : states_) {
-    if (state.window_start_us != 0) ++open;
-  }
-  return open;
 }
 
 }  // namespace dynamast::selector

@@ -36,14 +36,11 @@ namespace dynamast::selector {
 /// explain ring); episode closes observe the histogram outside the lock.
 class ConvergenceTracker {
  public:
-  struct Options {
-    /// A transition must stand unchallenged this long to count as stable.
-    uint64_t stability_window_us = 500'000;
-    /// Registry to export into; null means metrics::Registry::Global().
-    metrics::Registry* metrics = nullptr;
-  };
+  /// A transition must stand unchallenged this long to count as stable.
+  static constexpr uint64_t kStabilityWindowUs = 500'000;
 
-  ConvergenceTracker(size_t num_partitions, const Options& options);
+  /// Exports into `metrics` (null means metrics::Registry::Global()).
+  ConvergenceTracker(size_t num_partitions, metrics::Registry* metrics);
 
   ConvergenceTracker(const ConvergenceTracker&) = delete;
   ConvergenceTracker& operator=(const ConvergenceTracker&) = delete;
@@ -64,9 +61,8 @@ class ConvergenceTracker {
   /// "the workload stopped" is as stable as it gets.
   void Flush(uint64_t now_us, bool force = false) DYNAMAST_EXCLUDES(mu_);
 
-  /// Episodes closed so far / currently open.
+  /// Episodes closed so far.
   uint64_t relocalized() const DYNAMAST_EXCLUDES(mu_);
-  size_t open_windows() const DYNAMAST_EXCLUDES(mu_);
 
  private:
   struct PartitionState {
@@ -80,8 +76,6 @@ class ConvergenceTracker {
                         uint64_t* duration_us) DYNAMAST_REQUIRES(mu_);
 
   void Export(const uint64_t* durations, size_t n);
-
-  const Options options_;
 
   mutable RawMutex mu_;
   std::vector<PartitionState> states_ DYNAMAST_GUARDED_BY(mu_);

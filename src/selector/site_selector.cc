@@ -30,17 +30,13 @@ SiteSelector::SiteSelector(const SelectorOptions& options,
       partitioner_(partitioner),
       network_(network),
       tracer_(options.tracer),
-      map_(partitioner->NumPartitions(), options.initial_master),
+      map_(partitioner->NumPartitions()),
       strategy_(options.weights, options.num_sites),
-      convergence_(partitioner->NumPartitions(),
-                   ConvergenceTracker::Options{
-                       options.relocalize_stability_window_us,
-                       options.metrics}),
+      convergence_(partitioner->NumPartitions(), options.metrics),
       rng_(options.seed) {
   AccessStatistics::Options stats_options = options_.stats;
   stats_options.num_sites = options_.num_sites;
-  std::vector<SiteId> initial(partitioner->NumPartitions(),
-                              options_.initial_master);
+  std::vector<SiteId> initial(partitioner->NumPartitions(), 0);
   stats_ = std::make_unique<AccessStatistics>(stats_options, initial);
   metrics::Registry* reg = metrics::Registry::OrGlobal(options_.metrics);
   exported_.routes_write =
@@ -119,12 +115,11 @@ void SiteSelector::MaybeSample(ClientId client,
       if (now - sample_window_start_ >= std::chrono::seconds(1)) {
         // New window: if the last one overshot the budget, throttle;
         // if it was comfortably below, recover toward the configured rate.
-        if (samples_in_window_ > options_.max_samples_per_second) {
+        if (samples_in_window_ > kMaxSamplesPerSecond) {
           effective_sample_rate_ *=
-              static_cast<double>(options_.max_samples_per_second) /
+              static_cast<double>(kMaxSamplesPerSecond) /
               static_cast<double>(samples_in_window_);
-        } else if (samples_in_window_ <
-                   options_.max_samples_per_second / 2) {
+        } else if (samples_in_window_ < kMaxSamplesPerSecond / 2) {
           effective_sample_rate_ = std::min(1.0, effective_sample_rate_ * 2);
         }
         sample_window_start_ = now;
@@ -142,13 +137,6 @@ void SiteSelector::MaybeSample(ClientId client,
   }
 }
 
-double SiteSelector::EffectiveSampleRate() const {
-  MutexLock guard(rng_mu_);
-  return options_.adaptive_sampling
-             ? options_.sample_rate * effective_sample_rate_
-             : options_.sample_rate;
-}
-
 Status SiteSelector::RouteWrite(ClientId client,
                                 const std::vector<RecordKey>& write_keys,
                                 const VersionVector& client_session,
@@ -160,6 +148,37 @@ Status SiteSelector::RouteWrite(ClientId client,
   }
   return RouteWritePartitions(client, std::move(partitions), client_session,
                               out);
+}
+
+// tsa-escape(selector.partition): dynamic lock set — releases the write
+// set's partition locks, which the caller acquired in sorted order, in a
+// loop TSA cannot model.
+DYNAMAST_NO_THREAD_SAFETY_ANALYSIS
+bool SiteSelector::RouteIfSingleSited(
+    ClientId client, const std::vector<PartitionId>& partitions,
+    bool exclusive, const VersionVector& client_session,
+    std::vector<SiteId>* masters, RouteResult* out) {
+  bool single_sited = true;
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    (*masters)[i] = map_.MasterOf(partitions[i]);
+    if ((*masters)[i] != (*masters)[0]) single_sited = false;
+  }
+  if (!single_sited) return false;
+  const SiteId site = (*masters)[0];
+  for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
+    if (exclusive) {
+      map_.UnlockExclusive(*it);
+    } else {
+      map_.UnlockShared(*it);
+    }
+  }
+  MaybeSample(client, partitions);
+  exported_.routed_to_site[site]->Increment();
+  out->site = site;
+  out->min_begin_version = client_session;
+  out->remastered = false;
+  out->partitions_moved = 0;
+  return true;
 }
 
 // tsa-escape(selector.partition): dynamic lock set — acquires the
@@ -181,24 +200,10 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
 
   // Fast path: shared locks in sorted order; single-master write sets
   // route without remastering.
-  for (PartitionId p : partitions) map_.LockShared(p);
   std::vector<SiteId> masters(partitions.size());
-  bool single_sited = true;
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    masters[i] = map_.MasterOf(partitions[i]);
-    if (masters[i] != masters[0]) single_sited = false;
-  }
-  if (single_sited) {
-    const SiteId site = masters[0];
-    for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
-      map_.UnlockShared(*it);
-    }
-    MaybeSample(client, partitions);
-    exported_.routed_to_site[site]->Increment();
-    out->site = site;
-    out->min_begin_version = client_session;
-    out->remastered = false;
-    out->partitions_moved = 0;
+  for (PartitionId p : partitions) map_.LockShared(p);
+  if (RouteIfSingleSited(client, partitions, /*exclusive=*/false,
+                         client_session, &masters, out)) {
     return Status::OK();
   }
   for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
@@ -210,22 +215,8 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
   // transaction with a common write set may have co-located them already,
   // in which case its remastering is amortized over this transaction too.
   for (PartitionId p : partitions) map_.LockExclusive(p);
-  single_sited = true;
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    masters[i] = map_.MasterOf(partitions[i]);
-    if (masters[i] != masters[0]) single_sited = false;
-  }
-  if (single_sited) {
-    const SiteId site = masters[0];
-    for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
-      map_.UnlockExclusive(*it);
-    }
-    MaybeSample(client, partitions);
-    exported_.routed_to_site[site]->Increment();
-    out->site = site;
-    out->min_begin_version = client_session;
-    out->remastered = false;
-    out->partitions_moved = 0;
+  if (RouteIfSingleSited(client, partitions, /*exclusive=*/true,
+                         client_session, &masters, out)) {
     return Status::OK();
   }
 

@@ -42,27 +42,22 @@ struct RouteResult {
   uint32_t partitions_moved = 0;
 };
 
+/// Every partition starts mastered at site 0 (DynaMast has no fixed
+/// initial placement and must learn; Section VI-A1); InstallPlacement
+/// replaces that before a run.
 struct SelectorOptions {
   uint32_t num_sites = 1;
-  /// Initial mastership: every partition starts at this site (DynaMast has
-  /// no fixed initial placement and must learn; Section VI-A1).
-  SiteId initial_master = 0;
   StrategyWeights weights;
   /// Fraction of write sets sampled into the workload model.
   double sample_rate = 0.25;
   /// Adaptive sampling (Section V-B: "adaptively sampling transaction
   /// write sets"): when the sampled-write-set rate exceeds
-  /// `max_samples_per_second`, the effective sample rate is scaled down
-  /// so statistics maintenance cannot become a bottleneck at high
-  /// throughput; it scales back up when load drops.
+  /// SiteSelector::kMaxSamplesPerSecond, the effective sample rate is
+  /// scaled down so statistics maintenance cannot become a bottleneck at
+  /// high throughput; it scales back up when load drops.
   bool adaptive_sampling = true;
-  uint32_t max_samples_per_second = 2000;
   AccessStatistics::Options stats;
   uint64_t seed = 42;
-  /// Stability window for the time-to-relocalize tracker: a mastership
-  /// transition must stand unchallenged this long before the episode that
-  /// produced it counts as converged.
-  uint64_t relocalize_stability_window_us = 500'000;
   /// Metrics registry to export into; null means
   /// metrics::Registry::Global().
   metrics::Registry* metrics = nullptr;
@@ -126,7 +121,7 @@ class SiteSelector {
   /// before reporting.
   ConvergenceTracker& convergence() { return convergence_; }
 
-  /// Applies `initial_master` (or a custom placement) to both the map and
+  /// Applies a placement (master site per partition) to both the map and
   /// the data sites. Call before starting the workload.
   void InstallPlacement(const std::vector<SiteId>& master_of_partition);
 
@@ -138,6 +133,9 @@ class SiteSelector {
   /// Bound on the routing-explain ring.
   static constexpr size_t kMaxExplains = 256;
 
+  /// Adaptive sampling's budget of sampled write sets per second.
+  static constexpr uint64_t kMaxSamplesPerSecond = 2000;
+
  private:
   // Performs release/grant transfers of `partitions` (currently mastered
   // per `masters`) to `dest`; returns the element-wise max grant vector.
@@ -148,9 +146,15 @@ class SiteSelector {
   void MaybeSample(ClientId client, const std::vector<PartitionId>& parts)
       DYNAMAST_EXCLUDES(rng_mu_);
 
-  /// Current effective sample rate (== options().sample_rate unless the
-  /// adaptive sampler has throttled it). Exposed for tests/diagnostics.
-  double EffectiveSampleRate() const DYNAMAST_EXCLUDES(rng_mu_);
+  // Reads the masters of the sorted `partitions` (whose map locks the
+  // caller holds, shared or exclusive per `exclusive`) into `masters`. If
+  // one site masters them all, unlocks them in reverse order, samples,
+  // counts the route, fills `out` and returns true; otherwise returns
+  // false with the locks still held.
+  bool RouteIfSingleSited(ClientId client,
+                          const std::vector<PartitionId>& partitions,
+                          bool exclusive, const VersionVector& client_session,
+                          std::vector<SiteId>* masters, RouteResult* out);
 
   // Stores one slow-path decision into the explain ring and the
   // routing-explain metrics (factor sums are accumulated for the winner).

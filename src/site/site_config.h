@@ -5,16 +5,16 @@
 #include <cstdint>
 
 #include "common/key.h"
-#include "storage/storage_engine.h"
 
 namespace dynamast::site {
 
 /// Configuration of one data site. The worker-slot count and per-operation
-/// service time stand in for the paper's 12-core data site machines (see
+/// costs stand in for the paper's 12-core data site machines (see
 /// DESIGN.md): a site can execute at most `worker_slots` transactions
-/// concurrently, each read/write operation costing `per_op_service_time`
-/// of simulated CPU, so an overloaded site queues — which is precisely the
-/// single-master bottleneck the paper measures.
+/// concurrently, each read costing `read_op_cost` and each write
+/// `write_op_cost` of simulated CPU, so an overloaded site queues — which
+/// is precisely the single-master bottleneck the paper measures. A site
+/// always rejects a write to a partition it does not master (NotMaster).
 struct SiteOptions {
   SiteId site_id = 0;
   uint32_t num_sites = 1;
@@ -43,13 +43,6 @@ struct SiteOptions {
   /// How long begin waits for session freshness / grant minimum versions.
   std::chrono::milliseconds freshness_timeout{5000};
 
-  /// If true, write transactions abort with NotMaster when the site does
-  /// not master a write partition. DynaMast and single-master rely on
-  /// this; partition-store disables it (static ownership checked by the
-  /// router instead).
-  bool enforce_mastership = true;
-
-  storage::StorageEngine::Options storage;
 };
 
 }  // namespace dynamast::site

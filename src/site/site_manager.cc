@@ -30,7 +30,6 @@ SiteManager::SiteManager(const SiteOptions& options,
       network_(network),
       history_(history),
       tracer_(tracer),
-      engine_(options.storage),
       gate_(options.worker_slots),
       clock_(metrics),
       svv_(options.num_sites) {
@@ -212,15 +211,13 @@ Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   // atomic with respect to Release draining this partition.
   {
     MutexLock guard(state_mu_);
-    if (options_.enforce_mastership) {
-      for (PartitionId p : partitions) {
-        if (mastered_.find(p) == mastered_.end()) {
-          Status s = Status::NotMaster("site " + std::to_string(site_id()) +
-                                       " does not master partition " +
-                                       std::to_string(p));
-          CountAbort(s);
-          return s;
-        }
+    for (PartitionId p : partitions) {
+      if (mastered_.find(p) == mastered_.end()) {
+        Status s = Status::NotMaster("site " + std::to_string(site_id()) +
+                                     " does not master partition " +
+                                     std::to_string(p));
+        CountAbort(s);
+        return s;
       }
     }
     for (PartitionId p : partitions) active_writers_[p]++;
@@ -300,8 +297,7 @@ Status SiteManager::TxnPut(Transaction* txn, const RecordKey& key,
     const PartitionId p = partitioner_->PartitionOf(key);
     {
       MutexLock guard(state_mu_);
-      if (options_.enforce_mastership &&
-          mastered_.find(p) == mastered_.end()) {
+      if (mastered_.find(p) == mastered_.end()) {
         return Status::NotMaster("insert into unmastered partition " +
                                  std::to_string(p));
       }

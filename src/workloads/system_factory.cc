@@ -98,7 +98,6 @@ std::unique_ptr<core::SystemInterface> MakeSystem(
     case SystemKind::kLeap: {
       baselines::LeapSystem::Options o;
       o.cluster = ClusterOptions(options);
-      o.cluster.replicated = false;
       o.placement = placement;
       return std::make_unique<baselines::LeapSystem>(o, &partitioner);
     }

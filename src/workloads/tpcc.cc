@@ -244,6 +244,10 @@ Status TpccWorkload::Load(core::SystemInterface& system) {
 
 namespace {
 
+// New-Order line count, drawn uniformly from this range (TPC-C 2.4.1.3).
+constexpr uint32_t kMinItemsPerOrder = 5;
+constexpr uint32_t kMaxItemsPerOrder = 15;
+
 class TpccClient final : public WorkloadClient {
  public:
   TpccClient(TpccWorkload* workload, uint64_t index, uint64_t seed)
@@ -293,8 +297,8 @@ WorkloadTxn TpccClient::MakeNewOrder() {
       static_cast<uint32_t>(rng_.Uniform(opt.districts_per_warehouse));
   const uint32_t c =
       static_cast<uint32_t>(rng_.Uniform(opt.customers_per_district));
-  const uint32_t n_items = static_cast<uint32_t>(rng_.UniformRange(
-      opt.min_items_per_order, opt.max_items_per_order));
+  const uint32_t n_items = static_cast<uint32_t>(
+      rng_.UniformRange(kMinItemsPerOrder, kMaxItemsPerOrder));
   const bool cross =
       rng_.Uniform(100) < opt.cross_warehouse_neworder_pct &&
       opt.num_warehouses > 1;

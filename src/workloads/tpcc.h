@@ -33,7 +33,7 @@ namespace dynamast::workloads {
 ///     partition their district masters),
 ///   * D customer partitions — the customers of (w, d) (moved only by
 ///     remote payments),
-///   * ceil(items/stock_group_size) stock partitions of contiguous items
+///   * ceil(items/kStockGroupSize) stock partitions of contiguous items
 ///     (moved by cross-warehouse New-Orders).
 /// One final static partition holds the read-only ITEM table.
 /// Partition ids are warehouse-major, so by-warehouse placement (what
@@ -47,8 +47,6 @@ class TpccWorkload final : public Workload {
     uint32_t num_items = 2000;
     /// Initial orders per district (gives Stock-Level data on a cold run).
     uint32_t initial_orders_per_district = 10;
-    uint32_t min_items_per_order = 5;
-    uint32_t max_items_per_order = 15;
     /// Percentage of New-Order transactions that include remote-warehouse
     /// supply items (cross-warehouse; default ≈ TPC-C's ~10%).
     uint32_t cross_warehouse_neworder_pct = 10;
@@ -62,16 +60,17 @@ class TpccWorkload final : public Workload {
     uint32_t new_order_pct = 45;
     uint32_t payment_pct = 45;
     uint32_t stock_level_pct = 10;
-    /// Contiguous items per stock partition (mastership granularity). The
-    /// ratio stock_group_size / num_items controls how often a home
-    /// New-Order touches a stock group a cross-warehouse order dragged
-    /// away — keep it small or remastering ping-pongs (see DESIGN.md).
-    uint32_t stock_group_size = 10;
-    /// Contiguous customers per customer partition (moved by remote
-    /// payments).
-    uint32_t customer_group_size = 30;
     uint64_t seed = 99;
   };
+
+  /// Contiguous items per stock partition (mastership granularity). The
+  /// ratio kStockGroupSize / num_items controls how often a home
+  /// New-Order touches a stock group a cross-warehouse order dragged
+  /// away — keep it small or remastering ping-pongs (see DESIGN.md).
+  static constexpr uint32_t kStockGroupSize = 10;
+  /// Contiguous customers per customer partition (moved by remote
+  /// payments).
+  static constexpr uint32_t kCustomerGroupSize = 30;
 
   // Table ids.
   static constexpr TableId kWarehouse = 10;
@@ -95,13 +94,11 @@ class TpccWorkload final : public Workload {
 
   // ---- Partition layout --------------------------------------------------
   uint32_t StockGroupsPerWarehouse() const {
-    return (options_.num_items + options_.stock_group_size - 1) /
-           options_.stock_group_size;
+    return (options_.num_items + kStockGroupSize - 1) / kStockGroupSize;
   }
   uint32_t CustomerGroupsPerDistrict() const {
-    return (options_.customers_per_district + options_.customer_group_size -
-            1) /
-           options_.customer_group_size;
+    return (options_.customers_per_district + kCustomerGroupSize - 1) /
+           kCustomerGroupSize;
   }
   uint32_t PartitionsPerWarehouse() const {
     return 1 +
@@ -117,13 +114,13 @@ class TpccWorkload final : public Workload {
   }
   PartitionId CustomerPartition(uint32_t w, uint32_t d, uint32_t c) const {
     return WarehousePartition(w) + 1 + options_.districts_per_warehouse +
-           d * CustomerGroupsPerDistrict() + c / options_.customer_group_size;
+           d * CustomerGroupsPerDistrict() + c / kCustomerGroupSize;
   }
   PartitionId StockPartition(uint32_t w, uint32_t item) const {
     return WarehousePartition(w) + 1 +
            options_.districts_per_warehouse *
                (1 + CustomerGroupsPerDistrict()) +
-           item / options_.stock_group_size;
+           item / kStockGroupSize;
   }
   /// The static read-only ITEM partition (last id).
   PartitionId ItemPartition() const {

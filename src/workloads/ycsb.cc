@@ -67,6 +67,12 @@ Status YcsbWorkload::Load(core::SystemInterface& system) {
 
 namespace {
 
+// Keys per read-modify-write transaction: the affinity base plus two
+// neighbourhood companions (Appendix C).
+constexpr uint32_t kKeysPerRmw = 3;
+// Fewest partitions a scan reads.
+constexpr uint64_t kMinScanPartitions = 2;
+
 /// One YCSB client: an affinity region plus the Appendix C key-selection
 /// machinery.
 class YcsbClient final : public WorkloadClient {
@@ -128,7 +134,7 @@ class YcsbClient final : public WorkloadClient {
     // success means two positions before the base, five means two after).
     std::vector<uint64_t> positions;
     positions.push_back(affinity_position_);
-    for (uint32_t i = 1; i < opt.keys_per_rmw; ++i) {
+    for (uint32_t i = 1; i < kKeysPerRmw; ++i) {
       const int64_t offset =
           static_cast<int64_t>(rng_.Binomial(5, 0.5)) - 3;
       positions.push_back(
@@ -165,8 +171,8 @@ class YcsbClient final : public WorkloadClient {
 
   WorkloadTxn MakeScan() {
     const auto& opt = workload_->options();
-    const uint64_t k = rng_.UniformRange(opt.min_scan_partitions,
-                                         opt.max_scan_partitions);
+    const uint64_t k =
+        rng_.UniformRange(kMinScanPartitions, opt.max_scan_partitions);
     std::vector<RecordKey> keys;
     keys.reserve(k * opt.keys_per_partition);
     for (uint64_t i = 0; i < k; ++i) {

@@ -53,8 +53,7 @@ class YcsbWorkload final : public Workload {
     /// Adaptivity mode: shuffle the partition-order used for correlations.
     bool shuffle_correlations = false;
     uint64_t seed = 1234;
-    uint32_t keys_per_rmw = 3;
-    uint32_t min_scan_partitions = 2;
+    /// A scan reads 2..max_scan_partitions consecutive partitions.
     uint32_t max_scan_partitions = 10;
   };
 

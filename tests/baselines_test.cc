@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "baselines/leap_system.h"
@@ -408,7 +411,6 @@ TEST(LeapTest, ShipsPartitionsToExecutionSite) {
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
   options.cluster = FastCluster(2, &registry);
-  options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
   LoadKeys(system, 100, 50);
@@ -441,7 +443,6 @@ TEST(LeapTest, ReadOnlyTransactionsAlsoLocalize) {
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
   options.cluster = FastCluster(2, &registry);
-  options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
   LoadKeys(system, 100, 5);
@@ -474,7 +475,6 @@ TEST(LeapTest, RepeatedAccessAmortizesShipping) {
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
   options.cluster = FastCluster(2, &registry);
-  options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
   LoadKeys(system, 100, 50);
@@ -499,7 +499,6 @@ TEST(LeapTest, StaticPartitionsNeverShipped) {
   RangePartitioner partitioner(10, 10);
   LeapSystem::Options options;
   options.cluster = FastCluster(2, &registry);
-  options.cluster.replicated = false;
   options.placement = RangePlacement(10, 2);
   LeapSystem system(options, &partitioner);
   ASSERT_TRUE(system.CreateTable(kTable).ok());
@@ -691,17 +690,56 @@ TEST(LeapTest, ShippedBytesCoverOnlyThePartition) {
   system.Shutdown();
 }
 
-TEST(LeapTest, ClusterRunsNoRefreshAppliers) {
-  // Regression: LeapSystem once constructed its Cluster before clearing
-  // options.cluster.replicated, so refresh appliers ran — and an applier
-  // re-applying an old remote commit after a partition shipped in would
-  // shadow the freshly copied rows (versions append newest-at-back).
+// ---- Replication follows cluster.replicated ---------------------------------
+
+// A two-site baseline of the named kind over four partitions (two per
+// site), with a fixed coordinator so every write runs at its owner.
+struct Baseline {
+  std::unique_ptr<core::SystemInterface> system;
+  core::Cluster* cluster = nullptr;
+};
+
+Baseline MakeBaseline(const std::string& name, core::Cluster::Options cluster,
+                      const Partitioner* partitioner) {
+  Baseline baseline;
+  if (name == "leap") {
+    LeapSystem::Options options;
+    options.cluster = std::move(cluster);
+    options.placement = RangePlacement(4, 2);
+    auto system = std::make_unique<LeapSystem>(options, partitioner);
+    baseline.cluster = &system->cluster();
+    baseline.system = std::move(system);
+    return baseline;
+  }
+  auto options = name == "multi-master"
+                     ? PartitionedSystem::MultiMaster(std::move(cluster),
+                                                      RangePlacement(4, 2))
+                     : PartitionedSystem::PartitionStore(std::move(cluster),
+                                                         RangePlacement(4, 2));
+  options.random_coordinator = false;
+  auto system = std::make_unique<PartitionedSystem>(options, partitioner);
+  baseline.cluster = &system->cluster();
+  baseline.system = std::move(system);
+  return baseline;
+}
+
+class ReplicationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplicationTest, SiteOneAppliesSiteZeroCommitOnlyWhenReplicated) {
+  // The name reports what ran, and replication comes only from the
+  // cluster: multi-master replicates; partition-store and LEAP keep no
+  // replicas. Regression (LEAP): LeapSystem once constructed its Cluster
+  // before clearing options.cluster.replicated, so refresh appliers ran —
+  // and an applier re-applying an old remote commit after a partition
+  // shipped in would shadow the freshly copied rows (versions append
+  // newest-at-back).
+  const bool replicated = GetParam() == "multi-master";
   RangePartitioner partitioner(4, 4);
   metrics::Registry registry;
-  LeapSystem::Options options;
-  options.cluster = FastCluster(2, &registry);
-  options.placement = RangePlacement(4, 2);
-  LeapSystem system(options, &partitioner);
+  Baseline baseline =
+      MakeBaseline(GetParam(), FastCluster(2, &registry), &partitioner);
+  core::SystemInterface& system = *baseline.system;
+  EXPECT_EQ(system.name(), GetParam());
   LoadKeys(system, 16, 100);
 
   // Commit an update at site 0 (its own partitions; no shipping).
@@ -710,25 +748,46 @@ TEST(LeapTest, ClusterRunsNoRefreshAppliers) {
   core::TxnProfile profile;
   profile.write_keys = {RecordKey{kTable, 0}};
   profile.read_keys = profile.write_keys;
+  core::TxnResult result;
   ASSERT_TRUE(system
                   .Execute(
                       client, profile,
                       [](core::TxnContext& ctx) {
                         return ctx.Put(RecordKey{kTable, 0}, Num(42));
                       },
-                      nullptr)
+                      &result)
                   .ok());
+  ASSERT_EQ(result.executed_at, 0u);
 
-  // Give a (buggy) applier ample time to pick up site 0's log record.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // No replicas: site 1 must never apply site 0's commit.
-  EXPECT_EQ(
-      registry.CounterValue("site_refresh_applied_total", {{"site", "1"}}),
-      0u);
-  EXPECT_EQ(system.cluster().site(1)->CurrentVersion()[0], 0u);
+  site::SiteManager* replica = baseline.cluster->site(1);
+  if (replicated) {
+    // Site 1's applier picks up site 0's log record.
+    ASSERT_TRUE(replica->WaitForVersion(baseline.cluster->site(0)
+                                            ->CurrentVersion())
+                    .ok());
+    EXPECT_EQ(replica->CurrentVersion()[0], 1u);
+    EXPECT_GT(
+        registry.CounterValue("site_refresh_applied_total", {{"site", "1"}}),
+        0u);
+  } else {
+    // Give a (buggy) applier ample time to pick up site 0's log record.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(
+        registry.CounterValue("site_refresh_applied_total", {{"site", "1"}}),
+        0u);
+    EXPECT_EQ(replica->CurrentVersion()[0], 0u);
+  }
   system.Shutdown();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, ReplicationTest,
+    ::testing::Values("leap", "partition-store", "multi-master"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace dynamast::baselines

@@ -320,6 +320,7 @@ TEST_F(DynaMastFixture, CustomPlacementRespected) {
     ASSERT_TRUE(system_->LoadRow(RecordKey{kTable, key}, Num(0)).ok());
   }
   system_->Seal();
+  EXPECT_EQ(system_->name(), "dynamast");
   EXPECT_EQ(system_->site_selector().partition_map().MasterOfLocked(0), 1u);
   EXPECT_EQ(system_->site_selector().partition_map().MasterOfLocked(9), 0u);
   EXPECT_TRUE(system_->cluster().site(1)->IsMasterOf(0));

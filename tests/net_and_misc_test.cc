@@ -89,30 +89,6 @@ TEST(SimulatedNetworkTest, NoDelayWhenDisabled) {
   EXPECT_LT(watch.ElapsedMicros(), 1000000u);
 }
 
-TEST(SimulatedNetworkTest, SerializedLinkQueuesSenders) {
-  // With serialize_link, concurrent senders queue for the shared wire:
-  // total wall time is at least the *sum* of transmission costs, where
-  // the default (parallel-bandwidth) model overlaps them.
-  metrics::Registry registry;
-  net::SimulatedNetwork::Options options;
-  options.one_way_latency = std::chrono::microseconds(0);
-  options.per_kilobyte = std::chrono::nanoseconds(2'000'000);  // 2ms per KB
-  options.charge_delays = true;
-  options.serialize_link = true;
-  net::SimulatedNetwork network(options, &registry);
-  constexpr int kSenders = 4;
-  Stopwatch watch;
-  std::vector<std::thread> senders;
-  for (int i = 0; i < kSenders; ++i) {
-    senders.emplace_back(
-        [&] { network.Send(net::TrafficClass::kPropagation, 1024); });
-  }
-  for (auto& t : senders) t.join();
-  // 4 messages x 1KB x 2ms, serialized: >= 8ms end to end.
-  EXPECT_GE(watch.ElapsedMicros(), 8000u);
-  EXPECT_EQ(Messages(registry, net::TrafficClass::kPropagation), 4u);
-}
-
 TEST(SimulatedNetworkTest, ResetClearsCounters) {
   metrics::Registry registry;
   net::SimulatedNetwork::Options options;
