@@ -5,8 +5,9 @@
 #   format       .clang-format via scripts/format-check.sh
 #   build        default build (everything: tests, examples, benches)
 #   tier1/tier2  default ctest
-#   repeat       the multi-master conservation audit and the LEAP tests
-#                200 times, the LEAP race stress 10 times (default build):
+#   repeat       the multi-master conservation audit, the LEAP and the
+#                partition-store tests 200 times, the LEAP and
+#                partition-store race stress 10 times (default build):
 #                schedule-dependent failures that one ctest run misses
 #   ignored-inputs  fails if any file under src/ tests/ scripts/ bench/
 #                examples/ perfbench/ is matched by .gitignore: such a
@@ -111,10 +112,10 @@ fi
 # The repeat stage reruns tests whose failures depend on thread schedules.
 repeat_stage() {
   ./build/tests/baselines_test --gtest_brief=1 \
-    --gtest_filter='MultiMasterTest.ConcurrentMixConservesTotal:LeapTest.*' \
+    --gtest_filter='MultiMasterTest.ConcurrentMixConservesTotal:LeapTest.*:PartitionStoreTest.*' \
     --gtest_repeat=200 &&
     ./build/tests/race_stress_test --gtest_brief=1 \
-      --gtest_filter='*Leap*' --gtest_repeat=10
+      --gtest_filter='*Leap*:*PartitionStore*' --gtest_repeat=10
 }
 
 step "build (default)"

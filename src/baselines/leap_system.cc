@@ -29,7 +29,7 @@ LeapSystem::LeapSystem(const Options& options, const Partitioner* partitioner)
     : options_(options),
       partitioner_(partitioner),
       cluster_(UnreplicatedCluster(options.cluster), partitioner),
-      ownership_(partitioner->NumPartitions(), 0),
+      ownership_(partitioner->NumPartitions()),
       partition_rows_(partitioner->NumPartitions()),
       shipped_partitions_(
           cluster_.metrics()->GetCounter("leap_shipped_partitions_total")),
@@ -92,22 +92,13 @@ Status LeapSystem::LoadReplicatedRow(const RecordKey& key, std::string value) {
     MutexLock guard(static_partitions_mu_);
     static_partitions_.insert(p);
   }
-  for (SiteId s = 0; s < cluster_.num_sites(); ++s) {
-    Status status = cluster_.site(s)->LoadRecord(key, value);
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
+  return cluster_.LoadRowEverywhere(key, value);
 }
 
 void LeapSystem::Seal() {
   if (sealed_) return;
   sealed_ = true;
-  for (PartitionId p = 0; p < options_.placement.size(); ++p) {
-    const SiteId owner = options_.placement[p];
-    for (SiteId s = 0; s < cluster_.num_sites(); ++s) {
-      cluster_.site(s)->SetMasterOf(p, s == owner);
-    }
-  }
+  cluster_.SetStaticMasters(options_.placement);
   // Unreplicated: Cluster::Start is a no-op, but call it for symmetry.
   cluster_.Start();
 }

@@ -20,10 +20,12 @@ namespace dynamast::baselines {
 ///    static master copy; updates run on masters, with two-phase commit
 ///    for multi-site write sets; lazily maintained replicas let read-only
 ///    transactions run at any (session-fresh) site.
-///  * **partition-store** (`cluster.replicated = false`): same static masters and
-///    2PC, but no replicas at all — reads of remote partitions are remote
-///    round trips, and multi-partition read-only transactions fan out
-///    across sites (the straggler effect of Section VI-B2).
+///  * **partition-store** (`cluster.replicated = false`): same static
+///    masters and 2PC, but no replicas at all — reads of remote partitions
+///    are remote round trips, and multi-partition read-only transactions
+///    fan out across sites (the straggler effect of Section VI-B2). Its
+///    read-only transactions run through the same coordinated executor as
+///    2PC writes, with no write participants.
 ///
 /// Both use the same site manager, storage engine, MVCC and isolation
 /// level as DynaMast (the paper's apples-to-apples setup).
@@ -93,15 +95,29 @@ class PartitionedSystem final : public core::SystemInterface {
     return OwnerOf(partitioner_->PartitionOf(key));
   }
 
-  Status ExecuteDistributedWrite(core::ClientState& client,
-                                 const core::TxnProfile& profile,
-                                 const core::TxnLogic& logic,
-                                 SiteId coordinator,
-                                 const std::vector<SiteId>& participants,
-                                 core::TxnResult* result);
-  Status ExecuteRead(core::ClientState& client,
-                     const core::TxnProfile& profile,
-                     const core::TxnLogic& logic, core::TxnResult* result);
+  // The sites owning `keys` and `partitions` (ascending) and the site
+  // that coordinates a transaction over them: the owner of the most, or a
+  // random site behind a placement-oblivious front.
+  struct Placement {
+    std::vector<SiteId> owners;
+    SiteId coordinator = 0;
+  };
+  Placement Place(const std::vector<RecordKey>& keys,
+                  const std::vector<PartitionId>& partitions);
+
+  // The one coordinated executor: opens a branch at each write
+  // participant (none for a read-only transaction), runs the logic in a
+  // CoordinatedTxnContext, then two-phase commits.
+  Status ExecuteCoordinated(core::ClientState& client,
+                            const core::TxnProfile& profile,
+                            const core::TxnLogic& logic, SiteId coordinator,
+                            const std::vector<SiteId>& participants,
+                            core::TxnResult* result);
+  // Multi-master runs a one-site write at its master, and a read at one
+  // session-fresh replica, as one site transaction.
+  Status ExecuteAtSite(SiteId site_id, core::ClientState& client,
+                       const core::TxnProfile& profile,
+                       const core::TxnLogic& logic, core::TxnResult* result);
 
   Options options_;
   const Partitioner* partitioner_;

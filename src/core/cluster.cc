@@ -60,4 +60,19 @@ Status Cluster::CreateTable(TableId id) {
   return Status::OK();
 }
 
+Status Cluster::LoadRowEverywhere(const RecordKey& key,
+                                  const std::string& value) {
+  for (auto& s : sites_) {
+    Status status = s->LoadRecord(key, value);
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
+void Cluster::SetStaticMasters(const std::vector<SiteId>& placement) {
+  for (PartitionId p = 0; p < placement.size(); ++p) {
+    for (auto& s : sites_) s->SetMasterOf(p, s->site_id() == placement[p]);
+  }
+}
+
 }  // namespace dynamast::core

@@ -2,6 +2,7 @@
 #define DYNAMAST_CORE_CLUSTER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/history.h"
@@ -93,6 +94,14 @@ class Cluster {
 
   /// Creates a table at every site.
   Status CreateTable(TableId id);
+
+  /// Loads `key` at every site (full replication, or a static table every
+  /// system replicates).
+  Status LoadRowEverywhere(const RecordKey& key, const std::string& value);
+
+  /// Makes `placement[p]` the one master of partition p at every site (the
+  /// static placement of the partitioned baselines and LEAP's start).
+  void SetStaticMasters(const std::vector<SiteId>& placement);
 
  private:
   Options options_;

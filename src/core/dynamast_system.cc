@@ -31,7 +31,6 @@ DynaMastSystem::DynaMastSystem(const Options& options,
   };
   phase_us_ = {phase("route"), phase("network")};
   selector::SelectorOptions sel = options_.selector;
-  sel.num_sites = cluster_.num_sites();
   // The selector exports into the same registry/tracer as the data sites
   // unless the caller wired its own.
   if (sel.metrics == nullptr) sel.metrics = registry;
@@ -44,11 +43,7 @@ DynaMastSystem::~DynaMastSystem() { Shutdown(); }
 
 Status DynaMastSystem::LoadRow(const RecordKey& key, std::string value) {
   // Full replication: every site holds every row (Section II-B1).
-  for (SiteId s = 0; s < cluster_.num_sites(); ++s) {
-    Status status = cluster_.site(s)->LoadRecord(key, value);
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
+  return cluster_.LoadRowEverywhere(key, value);
 }
 
 void DynaMastSystem::Seal() {

@@ -1,5 +1,7 @@
 #include "net/sim_network.h"
 
+#include <algorithm>
+
 #include "common/scheduler.h"
 
 namespace dynamast::net {
@@ -67,14 +69,20 @@ void SimulatedNetwork::Send(TrafficClass c, size_t bytes) {
   Deliver(options_.one_way_latency + Transmission(bytes));
 }
 
-void SimulatedNetwork::RoundTrip(TrafficClass c, size_t request_bytes,
-                                 size_t response_bytes) {
-  // Both legs count as messages and deliveries, but the caller sleeps
-  // once for the whole round trip.
-  Count(c, request_bytes);
-  Count(c, response_bytes);
-  Deliver(2 * options_.one_way_latency + Transmission(request_bytes) +
-          Transmission(response_bytes));
+void SimulatedNetwork::ConcurrentRoundTrips(TrafficClass c,
+                                            std::span<const Call> calls) {
+  // Every leg counts as a message and a delivery; the caller waits once,
+  // for the last response to arrive.
+  std::chrono::nanoseconds slowest{0};
+  for (const Call& call : calls) {
+    Count(c, call.request_bytes);
+    Count(c, call.response_bytes);
+    slowest = std::max(slowest, 2 * options_.one_way_latency +
+                                    Transmission(call.request_bytes) +
+                                    Transmission(call.response_bytes) +
+                                    call.service);
+  }
+  Deliver(slowest);
 }
 
 }  // namespace dynamast::net

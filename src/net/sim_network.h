@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <span>
 
 #include "common/metrics.h"
 #include "common/scheduler.h"
@@ -62,9 +63,26 @@ class SimulatedNetwork {
   /// the caller for the simulated delivery time plus its pending debt.
   void Send(TrafficClass c, size_t bytes);
 
+  /// One request/response exchange with a remote site: the two payloads
+  /// and the callee's service time between them.
+  struct Call {
+    size_t request_bytes = 0;
+    size_t response_bytes = 0;
+    std::chrono::nanoseconds service{0};
+  };
+
+  /// Round trips issued at once to different callees. Each counts its two
+  /// messages; the caller sleeps once, for the slowest round trip (both
+  /// legs plus its callee's service time). With `charge_delays` off only
+  /// the caller's pending debt is settled.
+  void ConcurrentRoundTrips(TrafficClass c, std::span<const Call> calls);
+
   /// A full round trip: request of `request_bytes` plus response of
   /// `response_bytes`. Counts two messages but sleeps once for both legs.
-  void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes);
+  void RoundTrip(TrafficClass c, size_t request_bytes, size_t response_bytes) {
+    const Call call{request_bytes, response_bytes};
+    ConcurrentRoundTrips(c, {&call, 1});
+  }
 
   const Options& options() const { return options_; }
 

@@ -9,12 +9,12 @@ namespace {
 constexpr size_t kClientHistoryCapacity = 8;
 }  // namespace
 
-AccessStatistics::AccessStatistics(const Options& options,
+AccessStatistics::AccessStatistics(const Options& options, uint32_t num_sites,
                                    const std::vector<SiteId>& initial_masters)
     : options_(options),
       master_of_(initial_masters),
       partition_writes_(initial_masters.size(), 0),
-      site_writes_(options.num_sites, 0) {}
+      site_writes_(num_sites, 0) {}
 
 void AccessStatistics::BumpPair(
     std::unordered_map<PartitionId,

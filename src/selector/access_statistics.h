@@ -29,7 +29,6 @@ namespace dynamast::selector {
 class AccessStatistics {
  public:
   struct Options {
-    uint32_t num_sites = 1;
     /// Δt of Eq. 7: accesses by the same client within this window of a
     /// sampled transaction count as inter-transaction co-accesses.
     std::chrono::milliseconds inter_txn_window{100};
@@ -41,7 +40,7 @@ class AccessStatistics {
 
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  AccessStatistics(const Options& options,
+  AccessStatistics(const Options& options, uint32_t num_sites,
                    const std::vector<SiteId>& initial_masters);
 
   AccessStatistics(const AccessStatistics&) = delete;

@@ -19,10 +19,9 @@ namespace dynamast::selector {
 /// remastered by two transactions.
 class PartitionMap {
  public:
-  explicit PartitionMap(size_t num_partitions, SiteId initial_master = 0)
-      : entries_(num_partitions) {
+  /// Every partition starts mastered at site 0.
+  explicit PartitionMap(size_t num_partitions) : entries_(num_partitions) {
     for (PartitionId p = 0; p < entries_.size(); ++p) {
-      entries_[p].master = initial_master;
       // Partition locks nest (routing holds its whole write set's locks)
       // but only in ascending partition order; the rank lets the debug
       // checker enforce exactly that protocol.

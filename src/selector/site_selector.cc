@@ -31,13 +31,12 @@ SiteSelector::SiteSelector(const SelectorOptions& options,
       network_(network),
       tracer_(options.tracer),
       map_(partitioner->NumPartitions()),
-      strategy_(options.weights, options.num_sites),
+      strategy_(options.weights, num_sites()),
       convergence_(partitioner->NumPartitions(), options.metrics),
       rng_(options.seed) {
-  AccessStatistics::Options stats_options = options_.stats;
-  stats_options.num_sites = options_.num_sites;
   std::vector<SiteId> initial(partitioner->NumPartitions(), 0);
-  stats_ = std::make_unique<AccessStatistics>(stats_options, initial);
+  stats_ = std::make_unique<AccessStatistics>(options_.stats, num_sites(),
+                                              initial);
   metrics::Registry* reg = metrics::Registry::OrGlobal(options_.metrics);
   exported_.routes_write =
       reg->GetCounter("selector_routes_total", {{"kind", "write"}});
@@ -46,7 +45,7 @@ SiteSelector::SiteSelector(const SelectorOptions& options,
   exported_.remaster_txns = reg->GetCounter("selector_remaster_total");
   exported_.partitions_moved =
       reg->GetCounter("selector_partitions_moved_total");
-  for (SiteId s = 0; s < options_.num_sites; ++s) {
+  for (SiteId s = 0; s < num_sites(); ++s) {
     exported_.routed_to_site.push_back(reg->GetCounter(
         "selector_routed_to_site_total", {{"site", std::to_string(s)}}));
   }
@@ -99,7 +98,7 @@ void SiteSelector::InstallPlacement(
     map_.SetMaster(p, owner);
     map_.UnlockExclusive(p);
     stats_->OnRemaster(p, owner);
-    for (SiteId s = 0; s < options_.num_sites; ++s) {
+    for (SiteId s = 0; s < num_sites(); ++s) {
       sites_[s]->SetMasterOf(p, s == owner);
     }
   }
@@ -236,7 +235,7 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
   // Score once, choose from the scores, and keep the per-factor values as
   // the decision's explanation (the Eq. 2-8 reasoning, not just the pick).
   trace::Span decide_span(tracer_, "route_decide", "selector",
-                          options_.num_sites, client);
+                          num_sites(), client);
   std::vector<SiteScore> scores;
   strategy_.ScoreSites(input, *stats_, &scores);
   const SiteId dest = strategy_.ChooseFromScores(input, scores);
@@ -248,7 +247,7 @@ Status SiteSelector::RouteWritePartitions(ClientId client,
   decide_span.End();
   RecordExplain(partitions, masters, std::move(scores), dest);
 
-  VersionVector out_vv(options_.num_sites);
+  VersionVector out_vv(num_sites());
   uint32_t moved = 0;
   Status s = Remaster(partitions, masters, dest, &out_vv, &moved);
   if (!s.ok()) {

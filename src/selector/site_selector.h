@@ -46,7 +46,6 @@ struct RouteResult {
 /// initial placement and must learn; Section VI-A1); InstallPlacement
 /// replaces that before a run.
 struct SelectorOptions {
-  uint32_t num_sites = 1;
   StrategyWeights weights;
   /// Fraction of write sets sampled into the workload model.
   double sample_rate = 0.25;
@@ -176,6 +175,8 @@ class SiteSelector {
     metrics::Gauge* factor_intra = nullptr;
     metrics::Gauge* factor_inter = nullptr;
   };
+
+  uint32_t num_sites() const { return static_cast<uint32_t>(sites_.size()); }
 
   SelectorOptions options_;
   std::vector<site::SiteManager*> sites_;

@@ -146,11 +146,6 @@ Status SiteManager::WaitForVersion(const VersionVector& min) const {
   return Status::OK();
 }
 
-void SiteManager::ChargeOps(size_t reads, size_t writes) const {
-  ChargeDuration(options_.read_op_cost * reads +
-                 options_.write_op_cost * writes);
-}
-
 void SiteManager::ChargeDuration(std::chrono::nanoseconds d) const {
   sim::Charge(d);
   SettleCharges();

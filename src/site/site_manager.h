@@ -104,14 +104,9 @@ class SiteManager {
              const Status& reason = Status::Aborted("caller abort"))
       DYNAMAST_EXCLUDES(state_mu_);
 
-  /// Sleeps now for the simulated CPU cost of `reads` snapshot reads plus
-  /// `writes` write operations (and the caller's pending debt). For work
-  /// whose result is read right after it is charged (2PC participants,
-  /// prefetch threads); transaction logic only sim::Charge()s and settles
-  /// once (see core::SiteTxnContext).
-  void ChargeOps(size_t reads, size_t writes) const;
-
-  /// Sleeps now for an explicit duration of simulated site work.
+  /// Sleeps now for an explicit duration of simulated site work (and the
+  /// caller's pending debt). Transaction logic only sim::Charge()s and
+  /// settles once (see core::SiteTxnContext).
   void ChargeDuration(std::chrono::nanoseconds d) const;
 
   /// Sleeps off the calling thread's pending debt (sim::Charge). Commit

@@ -404,6 +404,70 @@ TEST(PartitionStoreTest, ReadTxnPinsOneSnapshotPerRemoteOwner) {
   system.Shutdown();
 }
 
+TEST(PartitionStoreTest, ReadTxnBatchesOneSubReadPerRemoteOwner) {
+  // Three sites, one partition each: keys 0-9 at site 0, 10-19 at site 1,
+  // 20-29 at site 2.
+  RangePartitioner partitioner(10, 3);
+  metrics::Registry registry;
+  auto options = PartitionedSystem::PartitionStore(FastCluster(3, &registry),
+                                                   RangePlacement(3, 3));
+  options.random_coordinator = false;  // the coordinator owns the most keys
+  PartitionedSystem system(options, &partitioner);
+  LoadKeys(system, 30, 1);
+  auto messages = [&registry](const char* cls) {
+    return registry.CounterValue("net_messages_total", {{"class", cls}});
+  };
+  auto bytes = [&registry](const char* cls) {
+    return registry.CounterValue("net_bytes_total", {{"class", cls}});
+  };
+  core::ClientState client;
+  client.id = 1;
+  core::TxnProfile profile;
+  profile.read_only = true;
+  // Three keys at site 0 (the coordinator), k=2 at site 1 and k=1 at site 2.
+  profile.read_keys = {RecordKey{kTable, 0},  RecordKey{kTable, 1},
+                       RecordKey{kTable, 2},  RecordKey{kTable, 10},
+                       RecordKey{kTable, 11}, RecordKey{kTable, 20}};
+  uint64_t total = 0;
+  auto logic = [&total](core::TxnContext& ctx) -> Status {
+    total = 0;
+    // Every declared key, plus key 21: an undeclared read at site 2.
+    for (uint64_t key : {0, 1, 2, 10, 11, 20, 21}) {
+      std::string value;
+      Status s = ctx.Get(RecordKey{kTable, key}, &value);
+      if (!s.ok()) return s;
+      total += AsNum(value);
+    }
+    return Status::OK();
+  };
+  core::TxnResult result;
+  ASSERT_TRUE(system.Execute(client, profile, logic, &result).ok());
+  EXPECT_EQ(total, 7u);
+  EXPECT_EQ(result.executed_at, 0u);
+  EXPECT_TRUE(result.distributed);
+
+  // The client's two round trips: the router hop and the request.
+  EXPECT_EQ(messages("client_request"), 4u);
+  EXPECT_EQ(bytes("client_request"), (128u + 64u) + (256u + 128u));
+  // Each remote owner: one sub-read of 256+8k / 128+64k bytes. The
+  // undeclared key adds one plain 256/128 round trip.
+  EXPECT_EQ(messages("coordination"), 2u + 2u + 2u);
+  EXPECT_EQ(bytes("coordination"), (256u + 8 * 2 + 128u + 64 * 2) +
+                                       (256u + 8 * 1 + 128u + 64 * 1) +
+                                       (256u + 128u));
+  for (const char* cls : {"propagation", "remastering", "data_shipping"}) {
+    EXPECT_EQ(messages(cls), 0u) << cls;
+  }
+  // Every site read commits one read-only branch.
+  for (const char* site : {"0", "1", "2"}) {
+    EXPECT_EQ(registry.CounterValue("site_commits_total",
+                                    {{"site", site}, {"kind", "readonly"}}),
+              1u)
+        << "site " << site;
+  }
+  system.Shutdown();
+}
+
 // ---- LEAP ---------------------------------------------------------------------
 
 TEST(LeapTest, ShipsPartitionsToExecutionSite) {

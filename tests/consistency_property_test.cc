@@ -306,7 +306,6 @@ TEST_P(RemasterFuzzTest, ExactlyOneMasterAlways) {
     ASSERT_TRUE(sites.back()->CreateTable(kTable).ok());
   }
   selector::SelectorOptions options;
-  options.num_sites = 3;
   options.seed = GetParam();
   selector::SiteSelector selector(
       options,

@@ -202,6 +202,16 @@ TEST(RaceStressTest, MultiMasterBaseline) {
   RunStress(system, /*seed=*/2, /*strict_snapshots=*/false);
 }
 
+TEST(RaceStressTest, PartitionStoreBaseline) {
+  // Readers fan out to every owner through the coordinated executor: one
+  // batched sub-read per remote owner, each in its own read-only branch.
+  RangePartitioner partitioner(4, 6);
+  auto options = baselines::PartitionedSystem::PartitionStore(
+      FastCluster(3), baselines::RangePlacement(6, 3));
+  baselines::PartitionedSystem system(options, &partitioner);
+  RunStress(system, /*seed=*/4, /*strict_snapshots=*/false);
+}
+
 TEST(RaceStressTest, LeapBaseline) {
   RangePartitioner partitioner(4, 6);
   baselines::LeapSystem::Options options;

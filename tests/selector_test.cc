@@ -26,19 +26,21 @@ using Clock = std::chrono::steady_clock;
 // ---- PartitionMap ---------------------------------------------------------
 
 TEST(PartitionMapTest, InitialMaster) {
-  PartitionMap map(5, 2);
+  PartitionMap map(5);
+  for (PartitionId p = 0; p < 5; ++p) EXPECT_EQ(map.MasterOfLocked(p), 0u);
+  for (PartitionId p = 0; p < 5; ++p) map.SetMaster(p, 2);
   for (PartitionId p = 0; p < 5; ++p) EXPECT_EQ(map.MasterOfLocked(p), 2u);
 }
 
 TEST(PartitionMapTest, SetMaster) {
-  PartitionMap map(5, 0);
+  PartitionMap map(5);
   map.SetMaster(3, 1);
   EXPECT_EQ(map.MasterOfLocked(3), 1u);
   EXPECT_EQ(map.MasterOfLocked(2), 0u);
 }
 
 TEST(PartitionMapTest, MasterCounts) {
-  PartitionMap map(6, 0);
+  PartitionMap map(6);
   map.SetMaster(0, 1);
   map.SetMaster(1, 1);
   map.SetMaster(2, 2);
@@ -52,7 +54,7 @@ TEST(PartitionMapTest, SharedLocksAllowConcurrentReaders) {
   // The second reader must be a separate thread: recursive lock_shared
   // from one thread is UB on std::shared_mutex (and the lock-order
   // checker flags it as a potential self-deadlock).
-  PartitionMap map(2, 0);
+  PartitionMap map(2);
   map.LockShared(0);
   std::atomic<bool> got_shared{false};
   std::thread reader([&] {
@@ -67,7 +69,7 @@ TEST(PartitionMapTest, SharedLocksAllowConcurrentReaders) {
 }
 
 TEST(PartitionMapTest, ExclusiveLockExcludesReaders) {
-  PartitionMap map(1, 0);
+  PartitionMap map(1);
   map.LockExclusive(0);
   std::atomic<bool> got_shared{false};
   std::thread reader([&] {
@@ -84,9 +86,8 @@ TEST(PartitionMapTest, ExclusiveLockExcludesReaders) {
 
 // ---- AccessStatistics -------------------------------------------------------
 
-AccessStatistics::Options StatsOptions(uint32_t sites) {
+AccessStatistics::Options StatsOptions() {
   AccessStatistics::Options o;
-  o.num_sites = sites;
   o.inter_txn_window = std::chrono::milliseconds(100);
   o.history_capacity = 100;
   o.sample_ttl = std::chrono::hours(1);
@@ -94,7 +95,7 @@ AccessStatistics::Options StatsOptions(uint32_t sites) {
 }
 
 TEST(AccessStatisticsTest, WriteFrequenciesAccumulate) {
-  AccessStatistics stats(StatsOptions(2), {0, 0, 1, 1});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 1, 1});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0, 1}, now);
   stats.RecordWriteSet(1, {2}, now);
@@ -106,7 +107,7 @@ TEST(AccessStatisticsTest, WriteFrequenciesAccumulate) {
 }
 
 TEST(AccessStatisticsTest, IntraCoAccessProbability) {
-  AccessStatistics stats(StatsOptions(2), {0, 0, 0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 0, 0});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0, 1}, now);
   stats.RecordWriteSet(1, {0, 1}, now);
@@ -122,7 +123,7 @@ TEST(AccessStatisticsTest, IntraCoAccessProbability) {
 }
 
 TEST(AccessStatisticsTest, InterCoAccessWithinWindow) {
-  AccessStatistics stats(StatsOptions(2), {0, 0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 0});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0}, now);
   stats.RecordWriteSet(1, {1}, now + std::chrono::milliseconds(10));
@@ -132,7 +133,7 @@ TEST(AccessStatisticsTest, InterCoAccessWithinWindow) {
 }
 
 TEST(AccessStatisticsTest, InterCoAccessOutsideWindowIgnored) {
-  AccessStatistics stats(StatsOptions(2), {0, 0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 0});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0}, now);
   stats.RecordWriteSet(1, {1}, now + std::chrono::seconds(10));
@@ -140,7 +141,7 @@ TEST(AccessStatisticsTest, InterCoAccessOutsideWindowIgnored) {
 }
 
 TEST(AccessStatisticsTest, DifferentClientsDoNotCorrelateInterTxn) {
-  AccessStatistics stats(StatsOptions(2), {0, 0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 0});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0}, now);
   stats.RecordWriteSet(2, {1}, now + std::chrono::milliseconds(1));
@@ -148,9 +149,9 @@ TEST(AccessStatisticsTest, DifferentClientsDoNotCorrelateInterTxn) {
 }
 
 TEST(AccessStatisticsTest, HistoryOverflowExpiresOldest) {
-  auto options = StatsOptions(2);
+  auto options = StatsOptions();
   options.history_capacity = 2;
-  AccessStatistics stats(options, {0, 0, 0});
+  AccessStatistics stats(options, 2, {0, 0, 0});
   const auto now = Clock::now();
   stats.RecordWriteSet(1, {0}, now);
   stats.RecordWriteSet(1, {1}, now);
@@ -162,9 +163,9 @@ TEST(AccessStatisticsTest, HistoryOverflowExpiresOldest) {
 }
 
 TEST(AccessStatisticsTest, TtlExpiryDecrementsCoAccess) {
-  auto options = StatsOptions(2);
+  auto options = StatsOptions();
   options.sample_ttl = std::chrono::milliseconds(50);
-  AccessStatistics stats(options, {0, 0});
+  AccessStatistics stats(options, 2, {0, 0});
   const auto t0 = Clock::now();
   stats.RecordWriteSet(1, {0, 1}, t0);
   EXPECT_FALSE(stats.IntraCoAccess(0).empty());
@@ -175,7 +176,7 @@ TEST(AccessStatisticsTest, TtlExpiryDecrementsCoAccess) {
 }
 
 TEST(AccessStatisticsTest, OnRemasterMovesSiteTotals) {
-  AccessStatistics stats(StatsOptions(2), {0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0});
   stats.RecordWriteSet(1, {0}, Clock::now());
   EXPECT_DOUBLE_EQ(stats.SiteWriteFraction(0), 1.0);
   stats.OnRemaster(0, 1);
@@ -204,7 +205,7 @@ TEST(StrategyTest, BalanceOnlySpreadsLoad) {
   StrategyWeights weights{/*balance=*/1.0, /*delay=*/0.0, /*intra=*/0.0,
                           /*inter=*/0.0};
   RemasterStrategy strategy(weights, 2);
-  AccessStatistics stats(StatsOptions(2), {0, 0, 0, 0});
+  AccessStatistics stats(StatsOptions(), 2, {0, 0, 0, 0});
   const auto now = Clock::now();
   // All load on site 0's partitions.
   for (int i = 0; i < 10; ++i) {
@@ -225,7 +226,7 @@ TEST(StrategyTest, IntraFeatureCoLocates) {
   RemasterStrategy strategy(weights, 3);
   // Partition 1 masters at site 2; partition 0 frequently co-accessed
   // with partition 1.
-  AccessStatistics stats(StatsOptions(3), {0, 2, 1});
+  AccessStatistics stats(StatsOptions(), 3, {0, 2, 1});
   const auto now = Clock::now();
   for (int i = 0; i < 5; ++i) stats.RecordWriteSet(1, {0, 1}, now);
 
@@ -246,7 +247,7 @@ TEST(StrategyTest, IntraFeatureCoLocates) {
 TEST(StrategyTest, DelayFeaturePenalizesLaggingSite) {
   StrategyWeights weights{0.0, /*delay=*/1.0, 0.0, 0.0};
   RemasterStrategy strategy(weights, 3);
-  AccessStatistics stats(StatsOptions(3), {1, 1});
+  AccessStatistics stats(StatsOptions(), 3, {1, 1});
   RemasterDecisionInput input;
   input.write_partitions = {0};
   input.current_masters = {1};
@@ -269,7 +270,7 @@ TEST(StrategyTest, DelayFeaturePenalizesLaggingSite) {
 TEST(StrategyTest, SessionVectorContributesToDelay) {
   StrategyWeights weights{0.0, 1.0, 0.0, 0.0};
   RemasterStrategy strategy(weights, 2);
-  AccessStatistics stats(StatsOptions(2), {1});
+  AccessStatistics stats(StatsOptions(), 2, {1});
   RemasterDecisionInput input;
   input.write_partitions = {0};
   input.current_masters = {1};
@@ -285,7 +286,7 @@ TEST(StrategyTest, SessionVectorContributesToDelay) {
 TEST(StrategyTest, TieBreakPrefersFewestTransfers) {
   StrategyWeights weights{0.0, 0.0, 0.0, 0.0};  // all features off
   RemasterStrategy strategy(weights, 3);
-  AccessStatistics stats(StatsOptions(3), {1, 1, 2});
+  AccessStatistics stats(StatsOptions(), 3, {1, 1, 2});
   RemasterDecisionInput input;
   input.write_partitions = {0, 1, 2};
   input.current_masters = {1, 1, 2};
@@ -314,7 +315,6 @@ class SelectorFixture : public ::testing::Test {
       ASSERT_TRUE(sites_.back()->CreateTable(kTable).ok());
     }
     SelectorOptions options;
-    options.num_sites = 3;
     options.metrics = &registry_;
     options.sample_rate = 1.0;
     options.weights = StrategyWeights{1.0, 0.5, 1.0, 1.0};

@@ -470,6 +470,66 @@ TEST(SiCheckerLiveTest, DynaMastSmallBankAuditsClean) {
   EXPECT_GT(audit.commits, 0u);
 }
 
+TEST(SiCheckerLiveTest, PartitionStoreSmallBankAuditsClean) {
+  // Partition-store read-only transactions (SmallBank Balance) run in
+  // per-site read-only branches, so they reach the audited history and
+  // the site commit counters like every other transaction.
+  workloads::SmallBankWorkload::Options wo;
+  wo.num_accounts = 400;
+  wo.accounts_per_partition = 20;
+  workloads::SmallBankWorkload workload(wo);
+
+  metrics::Registry registry;
+  workloads::DeploymentOptions d;
+  d.num_sites = 3;
+  d.charge_network = false;
+  d.read_op_cost = d.write_op_cost = d.apply_op_cost =
+      std::chrono::microseconds(0);
+  d.record_history = true;
+  d.metrics = &registry;
+  auto system = workloads::MakeSystem(workloads::SystemKind::kPartitionStore,
+                                      d, workload.partitioner());
+  ASSERT_TRUE(workload.Load(*system).ok());
+  system->Seal();
+
+  workloads::Driver::Options dro;
+  dro.num_clients = 4;
+  dro.ops_per_client = 100;  // fixed-count mode: machine-speed independent
+  const workloads::Driver::Report report =
+      workloads::Driver(dro).Run(*system, workload);
+  system->Shutdown();
+  EXPECT_GT(report.committed, 0u);
+
+  ASSERT_NE(system->history(), nullptr);
+  const std::vector<history::HistoryEvent> events =
+      system->history()->Snapshot();
+  const AuditReport audit =
+      AuditHistory(events, tools::OptionsForSystem("partition-store"));
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  size_t read_only_commits = 0;
+  for (const history::HistoryEvent& e : events) {
+    if (e.kind == history::EventKind::kCommit && e.read_only) {
+      ++read_only_commits;
+    }
+  }
+  EXPECT_GT(read_only_commits, 0u);
+
+  tools::MetricsReconciliation reconciliation;
+  ASSERT_TRUE(tools::ReconcileMetrics(events, registry.SnapshotJson(),
+                                      &reconciliation)
+                  .ok());
+  EXPECT_TRUE(reconciliation.ok()) << reconciliation.ToString();
+  for (const tools::MetricsReconciliation::Line& line :
+       reconciliation.lines) {
+    if (line.name == "readonly_commits") {
+      // Commits that installed nothing: the read-only branches plus any
+      // write branch that staged no write.
+      EXPECT_EQ(line.metrics, line.history);
+      EXPECT_GE(line.history, read_only_commits);
+    }
+  }
+}
+
 TEST(SiCheckerLiveTest, DynaMastYcsbCertifiesSerializable) {
   // YCSB's update transactions are read-modify-writes (read set == write
   // set), so under correct SI every rw-antidependency out of a committed

@@ -144,6 +144,47 @@ TEST(SimClockNetworkTest, RoundTripIsTwoMessagesOneSleep) {
   });
 }
 
+TEST(SimClockNetworkTest, ConcurrentRoundTripsSleepOnceForTheSlowest) {
+  // Three round trips of different sizes and callee service times.
+  const net::SimulatedNetwork::Call calls[] = {
+      {100, 50, microseconds(0)},
+      {2000, 10, microseconds(500)},
+      {300, 3000, milliseconds(2)},
+  };
+  for (const bool charge : {true, false}) {
+    OnFreshThread([&calls, charge] {
+      metrics::Registry registry;
+      net::SimulatedNetwork::Options options;
+      options.one_way_latency = milliseconds(1);
+      options.charge_delays = charge;
+      net::SimulatedNetwork network(options, &registry);
+      sim::Charge(microseconds(300));  // the caller's own pending work
+      Stopwatch watch;
+      network.ConcurrentRoundTrips(net::TrafficClass::kCoordination, calls);
+      const uint64_t elapsed = watch.ElapsedMicros();
+      EXPECT_EQ(registry.CounterValue("net_messages_total",
+                                      {{"class", "coordination"}}),
+                6u);
+      EXPECT_EQ(registry.CounterValue("net_bytes_total",
+                                      {{"class", "coordination"}}),
+                100u + 50u + 2000u + 10u + 300u + 3000u);
+      EXPECT_EQ(registry.CounterValue("net_messages_total",
+                                      {{"class", "client_request"}}),
+                0u);
+      // One sleep either way: with delays charged it covers the slowest
+      // round trip (2 x 1 ms + 2 ms service) and the debt; without, only
+      // the debt.
+      EXPECT_EQ(HistogramCount(registry, "sim_sleep_overshoot_us"), 1u);
+      if (charge) {
+        EXPECT_GE(elapsed, 4300u);
+      } else {
+        EXPECT_GE(elapsed, 300u);
+        EXPECT_LT(elapsed, 4300u);  // charged delays would sleep this long
+      }
+    });
+  }
+}
+
 TEST(SimClockNetworkTest, RoundTripDeliversBothLegs) {
 #if !DYNAMAST_SCHED_FUZZ_ENABLED
   GTEST_SKIP() << "built without DYNAMAST_SCHED_FUZZ (no delivery hooks)";

@@ -510,12 +510,6 @@ TEST_F(SiteFixture, RecoveryReplaysUpdatesAndMastership) {
   EXPECT_TRUE(fresh.CurrentVersion().DominatesOrEquals(tvv));
 }
 
-TEST_F(SiteFixture, ChargeOpsZeroIsFree) {
-  Stopwatch watch;
-  sites_[0]->ChargeOps(1000, 1000);
-  EXPECT_LT(watch.ElapsedMicros(), 100000u);
-}
-
 // Regression for the serialize-before-install ordering in Commit: the
 // install loop consumes the write values by move, so the propagation
 // payload must be captured first. If serialization ever slides back
