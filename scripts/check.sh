@@ -21,14 +21,19 @@
 #   clang-tidy   .clang-tidy over src/ (compile_commands.json)
 #   asan-ubsan   sanitizer preset build + ctest (invariants, lock checks)
 #   tsan         ThreadSanitizer preset build + ctest
-#   sched-fuzz   schedule-exploration preset: sync-point fuzzing across
-#                $FUZZ_SEEDS seeds per test, histories audited by
-#                tools/si_checker (tier2 schedule_explore_test)
-#   dpor         short-budget record/replay + partial-order reduction
-#                gate: two replays of a recorded run must agree on the
-#                history hash for every system, and the DPOR explorer
-#                must prune at least one equivalent interleaving
-#                (engine-level dpor_test plus the stock-workload suites)
+#   sched-fuzz-tier1  tier1 ctest on the schedule-exploration preset: the
+#                sync-point hooks compiled in (and the invariants and
+#                lock-order checks on), the engine off — no tier-1 test
+#                steers the schedule
+#   sched-fuzz-explore  tier2 schedule_explore_test: every system on YCSB
+#                and SmallBank under $FUZZ_SEEDS seeded, preemption-bounded
+#                explore schedules, histories audited by tools/si_checker
+#   dpor         short-budget replay + partial-order reduction gate: two
+#                forced-prefix replays of a seeded run must follow the
+#                whole prefix and agree on the history hash for every
+#                system (repeated 10 times), and the DPOR explorer must
+#                prune at least one equivalent interleaving (engine-level
+#                dpor_test plus the stock-workload suites)
 #   break-si     deliberately broken grant wait; proves the auditor
 #                detects the anomaly class (BreakSiProofTest) and that
 #                the DPOR explorer finds the violation in fewer executed
@@ -356,7 +361,7 @@ if [[ "${SKIP_FUZZ:-0}" != "1" ]]; then
   step "sched-fuzz build (tests only)"
   if cmake --preset sched-fuzz &&
      cmake --build build-sched-fuzz --target dynamast_tests -j "$JOBS"; then
-    step "sched-fuzz: tier1 under schedule perturbation"
+    step "sched-fuzz: tier1 with the sync-point hooks compiled in"
     if ctest --preset sched-fuzz -L tier1; then
       record sched-fuzz-tier1 PASS
     else
@@ -374,13 +379,17 @@ if [[ "${SKIP_FUZZ:-0}" != "1" ]]; then
     fi
     # Exact replay + partial-order reduction on a short budget. The
     # filtered suites assert hash stability (two replays of a recorded
-    # run agree, per system and workload) and that DPOR prunes at least
-    # one equivalent interleaving; dpor_test covers the engine itself.
+    # run agree, per system and workload; repeated, since a replay that
+    # depends on host timing fails only now and then) and that DPOR
+    # prunes at least one equivalent interleaving; dpor_test covers the
+    # engine itself.
     step "dpor: exact replay + reduction ($DPOR_EXECUTIONS executions)"
     if ./build-sched-fuzz/tests/dpor_test &&
+       DYNAMAST_SCHED_SEEDS=1 ./build-sched-fuzz/tests/schedule_explore_test \
+         --gtest_filter='*ExactReplayTest.*' --gtest_repeat=10 &&
        DYNAMAST_DPOR_EXECUTIONS="$DPOR_EXECUTIONS" DYNAMAST_SCHED_SEEDS=1 \
        ./build-sched-fuzz/tests/schedule_explore_test \
-         --gtest_filter='*ExactReplayTest.*:TraceReplayTest.*:DporExploreTest.*'; then
+         --gtest_filter='TraceReplayTest.*:DporExploreTest.*'; then
       record dpor PASS "executed/pruned reported above"
     else
       record dpor FAIL "replay hash drift or no pruning"

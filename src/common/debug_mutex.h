@@ -127,7 +127,7 @@ struct RawPolicy {
 };
 
 /// Plain: registers the instance with the scheduler, so its operations
-/// enter the record/replay/explore decision stream; no other hooks.
+/// enter the explore decision stream; no other hooks.
 struct PlainPolicy : RawPolicy {
   struct State {
     State(const char* name, uint64_t /*rank*/)
@@ -225,10 +225,8 @@ class DYNAMAST_CAPABILITY("mutex") BasicMutex {
   BasicMutex& operator=(const BasicMutex&) = delete;
 
   void lock() DYNAMAST_ACQUIRE() {
-    // The scope spans the native acquisition: in record mode the entry is
-    // appended once the lock is actually held (post-completion), in
-    // replay mode the gate blocks until this acquisition is the object's
-    // recorded next operation.
+    // The scope spans the native acquisition: while exploring, the
+    // scheduler grants it before and traces it once the lock is held.
     DYNAMAST_SCHED_OP_SCOPE(sched_op, kMutexLock, state_.sched_uid);
     Policy::BeforeLock(state_);
     Policy::Acquired(state_, /*exclusive=*/true,
@@ -328,7 +326,7 @@ using DebugSharedMutex = BasicMutex<std::shared_mutex, BuildMutexPolicy>;
 /// the scheduler layer (metrics registry, tracer, latency recorder, the
 /// routing-explain ring): state that must stay *outside* the
 /// schedule-exploration decision stream. A DebugMutex here would call
-/// DYNAMAST_SCHED_REGISTER and emit lock operations into the record/replay
+/// DYNAMAST_SCHED_REGISTER and emit lock operations into the explore
 /// trace, perturbing the object-identity tables whenever telemetry is
 /// toggled; RawMutex carries the TSA capability without any hooks.
 using RawMutex = BasicMutex<std::mutex, lockdebug::RawPolicy>;
@@ -387,8 +385,8 @@ using RawMutexLock = BasicMutexLock<RawMutex>;
 /// the mutex policy's CvRelease/CvReacquire hooks around it (the checker
 /// sees the release, the profiler closes the hold segment).
 ///
-/// In the scheduler's armed modes (record/replay/explore, fuzz builds
-/// only) waits take a different path entirely: the native condvar's
+/// While the scheduler explores (DYNAMAST_SCHED_FUZZ builds only) waits
+/// take a different path entirely: the native condvar's
 /// wake-up race is an untraced scheduling decision, so instead the wait
 /// performs a *traced* unlock, parks on the scheduler until the condvar's
 /// generation counter moves (sched::CvNotify, bumped by notify_one/all),
@@ -486,9 +484,15 @@ class BasicDebugCondVar {
       DYNAMAST_REQUIRES(mu) {
     const uint64_t gen = sched::CvGeneration(this);
     mu.unlock();  // traced release
-    const bool changed = sched::CvPark(this, gen, deadline);
+    (void)sched::CvPark(this, gen, deadline);
     mu.lock();  // traced reacquisition: the arbitration is in the trace
-    return changed ? std::cv_status::no_timeout : std::cv_status::timeout;
+    // Timed out iff no notify landed before the reacquisition was granted.
+    // The grant's place is in the decision stream and the wall-clock
+    // moment the park ended is not, so a replay reaches the same verdict.
+    const bool notified = sched::CvGeneration(this) != gen;
+    return notified || std::chrono::steady_clock::now() < deadline
+               ? std::cv_status::no_timeout
+               : std::cv_status::timeout;
   }
 #endif
 

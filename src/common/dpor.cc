@@ -17,6 +17,14 @@ void Join(VClock& into, const VClock& from) {
   }
 }
 
+bool IsRelease(OpKind k) {
+  return k == OpKind::kMutexUnlock || k == OpKind::kMutexUnlockShared;
+}
+
+bool IsAcquire(OpKind k) {
+  return k == OpKind::kMutexLock || k == OpKind::kMutexLockShared;
+}
+
 bool Contains(const std::vector<uint32_t>& v, uint32_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -31,7 +39,10 @@ struct LastAccess {
 }  // namespace
 
 void DporExplorer::AddBacktrack(Frame& frame, uint32_t q, DporStats& stats) {
-  if (Contains(frame.done, q) || Contains(frame.backtrack, q)) return;
+  if (Contains(frame.done, q) || Contains(frame.backtrack, q) ||
+      Contains(frame.sleeping, q)) {
+    return;
+  }
   if (Contains(frame.enabled, q)) {
     frame.backtrack.push_back(q);
     ++stats.backtrack_points;
@@ -43,7 +54,10 @@ void DporExplorer::AddBacktrack(Frame& frame, uint32_t q, DporStats& stats) {
   bool added = false;
   for (uint32_t t : frame.enabled) {
     if (t == frame.chosen) continue;
-    if (Contains(frame.done, t) || Contains(frame.backtrack, t)) continue;
+    if (Contains(frame.done, t) || Contains(frame.backtrack, t) ||
+        Contains(frame.sleeping, t)) {
+      continue;
+    }
     frame.backtrack.push_back(t);
     added = true;
   }
@@ -89,9 +103,7 @@ DporStats DporExplorer::Run(const std::function<DporOutcome()>& execution) {
     ++stats.executed;
     stats.stall_grants += run.stall_grants;
     if (run.hit_step_limit) stats.budget_exhausted = true;
-    if (run.diverged || run.forced_consumed < forced.size()) {
-      ++stats.divergences;
-    }
+    if (run.diverged) ++stats.divergences;
 
     if (outcome.failed) {
       stats.failure_found = true;
@@ -117,6 +129,7 @@ DporStats DporExplorer::Run(const std::function<DporOutcome()>& execution) {
       } else {
         Frame f;
         f.enabled = steps[i].enabled;
+        f.sleeping = steps[i].sleeping;
         f.chosen = chosen;
         f.done.push_back(chosen);
         frames.push_back(std::move(f));
@@ -134,6 +147,11 @@ DporStats DporExplorer::Run(const std::function<DporOutcome()>& execution) {
       for (const LastAccess& a : accesses) {
         if (a.thread == e.thread) continue;
         if (!OpsConflict(a.kind, e.kind)) continue;
+        // A release and a later acquisition of the same mutex are never
+        // co-enabled (the acquisition waits for the release, or commutes
+        // with it if both are shared): reversing them means reversing the
+        // acquisitions, which is a race of its own.
+        if (IsRelease(a.kind) && IsAcquire(e.kind)) continue;
         // Race check uses this thread's clock *before* joining the
         // object-induced edge: if the prior access is not already ordered
         // before us through other objects or program order, the pair

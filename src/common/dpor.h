@@ -78,6 +78,9 @@ class DporExplorer {
     std::vector<uint32_t> enabled;
     std::vector<uint32_t> done;
     std::vector<uint32_t> backtrack;
+    /// Asleep when the frame was first reached: explored from an
+    /// equivalent state already, so never a backtrack alternative.
+    std::vector<uint32_t> sleeping;
     uint32_t chosen = 0;
   };
 
@@ -86,11 +89,13 @@ class DporExplorer {
   DporOptions options_;
 };
 
-/// Shrinks a failing trace to the shortest prefix whose replay (prefix
-/// enforced, remainder free-running) still fails, by binary search.
-/// `fails` replays the candidate trace and reports whether the failure
-/// reproduced. The returned trace is re-confirmed; if even the full trace
-/// stops failing (flaky tail), the input is returned unchanged.
+/// Shrinks a failing trace to the shortest prefix whose replay still
+/// fails, by binary search. `fails` replays the candidate trace — an
+/// explore run under ReplayOptions(candidate), so the remainder after the
+/// prefix is scheduled serially and deterministically too — and reports
+/// whether the failure reproduced. The returned trace is re-confirmed; if
+/// even the full trace stops failing (flaky tail), the input is returned
+/// unchanged.
 Trace MinimizeTracePrefix(const Trace& trace,
                           const std::function<bool(const Trace&)>& fails);
 

@@ -75,24 +75,15 @@ const char* OpKindName(OpKind kind) {
   return "?";
 }
 
-bool AcquireLike(OpKind kind) {
-  return kind == OpKind::kMutexLock || kind == OpKind::kMutexLockShared;
-}
-
 bool OpsConflict(OpKind a, OpKind b) {
-  // On one object, the only commuting pair is two shared acquisitions
-  // (reader-reader). Shared releases are kept ordered: the scheduler
-  // serializes them anyway, and treating them as dependent keeps the
-  // happens-before relation a superset of the true dependency relation
+  // Markers (a thread starting or rejoining the schedule) touch no shared
+  // object. Otherwise the only commuting pair on one object is two shared
+  // acquisitions (reader-reader). Shared releases are kept ordered: the
+  // scheduler serializes them anyway, and treating them as dependent keeps
+  // the happens-before relation a superset of the true dependency relation
   // (sound for DPOR: at worst we explore a few redundant schedules).
+  if (a == OpKind::kMarker || b == OpKind::kMarker) return false;
   return !(a == OpKind::kMutexLockShared && b == OpKind::kMutexLockShared);
-}
-
-std::string TraceObject::Key() const {
-  std::ostringstream os;
-  os << EscapeToken(label) << '|' << EscapeToken(birth_thread) << '|'
-     << birth_index;
-  return os.str();
 }
 
 std::string Trace::Serialize() const {

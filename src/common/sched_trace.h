@@ -11,18 +11,17 @@
 
 namespace dynamast::sched {
 
-/// The decision-stream trace of one recorded execution (see DESIGN.md,
-/// "Exact replay & partial-order reduction").
+/// The decision-stream trace of one explore run (see DESIGN.md, "The
+/// explore scheduler").
 ///
 /// Every synchronization operation the scheduler arbitrates — DebugMutex
 /// acquire/release (exclusive and shared), simulated-network delivery,
 /// admission-slot grant, durable-log append — is one TraceEntry: which
 /// thread performed which kind of operation on which object, in the
-/// serialized order the run resolved them. Acquire-like operations are
-/// recorded *after* they complete and release-like operations *before*
-/// they start, so the recorded order is always feasible: by the time an
-/// acquire appears in the stream, the release that enabled it is already
-/// earlier in the stream. Replay therefore never deadlocks enforcing it.
+/// serialized order the explore scheduler granted them. Only one granted
+/// operation is in flight at a time, so the recorded order is always
+/// feasible, and its thread sequence replays the run as a forced prefix
+/// (sched::ReplayOptions).
 
 enum class OpKind : uint8_t {
   kMutexLock = 0,
@@ -38,14 +37,9 @@ inline constexpr uint8_t kNumOpKinds = 8;
 
 const char* OpKindName(OpKind kind);
 
-/// Acquire-like operations (lock, lock_shared) are recorded post-
-/// completion and consumed post-completion in replay; everything else is
-/// recorded and consumed pre-operation.
-bool AcquireLike(OpKind kind);
-
 /// Whether two operations on the *same* object are dependent (order
-/// matters). Shared acquisitions commute with each other; everything else
-/// on one object conflicts.
+/// matters). Shared acquisitions commute with each other and markers with
+/// everything; everything else on one object conflicts.
 bool OpsConflict(OpKind a, OpKind b);
 
 struct TraceEntry {
@@ -58,14 +52,13 @@ struct TraceEntry {
 /// label, the name of the thread that constructed it, and its ordinal
 /// among that (label, thread) pair's constructions since the last identity
 /// reset. Construction order per thread is deterministic, so the key
-/// matches the "same" object across record and replay runs — even across
+/// matches the "same" object across a run and its replay — even across
 /// processes (no pointers).
 struct TraceObject {
   std::string label;
   std::string birth_thread;
   uint32_t birth_index = 0;
 
-  std::string Key() const;
   bool operator==(const TraceObject& o) const {
     return label == o.label && birth_thread == o.birth_thread &&
            birth_index == o.birth_index;

@@ -10,34 +10,24 @@
 
 namespace dynamast::sched {
 
-/// Two-mode schedule-exploration engine (see DESIGN.md, "Exact replay &
-/// partial-order reduction").
+/// Schedule-exploration engine (see DESIGN.md, "The explore scheduler").
 ///
 /// The concurrent subsystems mark their synchronization operations —
 /// every DebugMutex acquisition/release, simulated-network delivery,
 /// admission-gate slot grant, durable-log append — with the
 /// DYNAMAST_SCHED_OP / DYNAMAST_SCHED_OP_SCOPE macros below. In default
 /// builds those expand to nothing; with -DDYNAMAST_SCHED_FUZZ=ON every
-/// operation consults this engine, which runs in one of five modes:
+/// operation consults this engine, which is either off (pass-through) or
+/// exploring: a serial scheduler under which at most one thread runs
+/// between operations and the engine picks which blocked thread's pending
+/// operation is granted next. One explore run serves every purpose:
 ///
-///   kOff     pass-through (armed builds, engine idle).
-///   kFuzz    the PR 2 PCT-lite fuzzer: priority-randomized yields/sleeps
-///            per seed epoch (probabilistic replay only).
-///   kRecord  every operation is appended to a Trace: the serialized
-///            decision stream of the run. Acquire-like operations record
-///            *after* completing, release-like ones *before* starting, so
-///            the recorded total order is always feasible.
-///   kReplay  the engine enforces the recorded per-object operation order:
-///            a thread's operation proceeds only when it is at the head of
-///            its object's recorded queue. Per-object FIFO enforcement
-///            reproduces every lock-handoff, message-delivery and
-///            slot-grant decision of the recorded run, which makes the
-///            history (and its hash) bit-identical.
-///   kExplore serial controlled scheduler: at most one thread runs between
-///            operations; the engine picks which blocked thread's pending
-///            operation is granted next. The DporExplorer (common/dpor)
-///            drives it with forced prefixes + sleep sets to enumerate
-///            non-equivalent interleavings only.
+///   recording  ExploreRun::trace is the run's decision stream;
+///   replay     ReplayOptions(trace) forces the trace's thread sequence
+///              as the prefix of a new run (clean: !ExploreRun::diverged);
+///   fuzzing    a seed plus a preemption bound randomizes the free picks;
+///   DPOR       the DporExplorer (common/dpor) drives forced prefixes and
+///              sleep sets to enumerate non-equivalent interleavings only.
 ///
 /// Threads are identified across runs by *name* (BindThreadName / the
 /// names given to spawned workers), objects by (lock label, constructing
@@ -51,37 +41,10 @@ namespace dynamast::sched {
 
 enum class Mode : uint8_t {
   kOff = 0,
-  kFuzz = 1,
-  kRecord = 2,
-  kReplay = 3,
-  kExplore = 4,
+  kExplore = 1,
 };
 
 Mode CurrentMode();
-
-// ---------------------------------------------------------------------------
-// PCT-lite fuzzing interface. The fuzz layer perturbs at every
-// DYNAMAST_SCHED_OP / DYNAMAST_SCHED_OP_SCOPE hook.
-
-/// Arms the fuzzer with `seed`. Threads re-derive their priority and
-/// decision stream lazily at their next schedule point. Thread-safe.
-void Enable(uint64_t seed);
-
-/// Disarms the engine entirely (any mode back to kOff).
-void Disable();
-
-/// Schedule points hit since the last Enable.
-uint64_t PointCount();
-
-/// RAII enable-for-scope, the shape tests use:
-///   for (uint64_t seed : seeds) { sched::ScopedSeed fuzz(seed); ... }
-class ScopedSeed {
- public:
-  explicit ScopedSeed(uint64_t seed) { Enable(seed); }
-  ~ScopedSeed() { Disable(); }
-  ScopedSeed(const ScopedSeed&) = delete;
-  ScopedSeed& operator=(const ScopedSeed&) = delete;
-};
 
 // ---------------------------------------------------------------------------
 // Identity.
@@ -93,9 +56,11 @@ class ScopedSeed {
 void BindThreadName(const std::string& name);
 std::string CurrentThreadName();
 
-/// RAII name binding that additionally tells the explore-mode scheduler
-/// when the thread is done (so it stops waiting for it to quiesce). Use as
-/// the first statement of spawned thread bodies.
+/// RAII name binding for spawned threads; use as the first statement of
+/// the thread body. While exploring, construction is a granted kMarker
+/// step (the thread starts at a place the trace records) and destruction
+/// tells the scheduler the thread is done (so it stops waiting for it to
+/// quiesce).
 class ThreadGuard {
  public:
   explicit ThreadGuard(const std::string& name);
@@ -113,7 +78,7 @@ uint32_t RegisterObject(const char* label);
 
 /// Clears the object registry, identity counters and condvar generations.
 /// Call before constructing each system-under-test so construction
-/// ordinals restart from zero (record and replay runs must build their
+/// ordinals restart from zero (a run and its replay must build their
 /// object tables identically). Also binds the calling thread to "main" if
 /// it is still unnamed.
 void ResetIdentities();
@@ -121,15 +86,15 @@ void ResetIdentities();
 // ---------------------------------------------------------------------------
 // Hooks.
 
-/// RAII hook around one synchronization operation. Acquire-like kinds
-/// (lock, lock_shared) trace at destruction (post-completion); all other
-/// kinds trace at construction (pre-operation). Construct it so its scope
-/// spans the native operation:
+/// RAII hook around one synchronization operation. While exploring, the
+/// constructor waits for the scheduler to grant the operation and the
+/// destructor traces it, so construct it so its scope spans the native
+/// operation:
 ///
 ///   { sched::OpScope op(OpKind::kMutexLock, sched_uid_); mu_.lock(); }
 ///
 /// Object uid 0 is the unregistered "<anon>" object: its operations are
-/// neither traced nor perturbed (RawMutex sits below the scheduler).
+/// neither traced nor scheduled (RawMutex sits below the scheduler).
 class OpScope {
  public:
   OpScope(OpKind kind, uint32_t object_uid);
@@ -138,18 +103,21 @@ class OpScope {
   OpScope& operator=(const OpScope&) = delete;
 
  private:
-  uint8_t armed_ = 0;  // 0 = fast-path skip; otherwise the Mode value
+  bool armed_ = false;  // granted by the explore scheduler
   OpKind kind_ = OpKind::kMarker;
   uint32_t object_ = 0;
 };
 
 /// Point-like hook for operations with no meaningful duration (message
-/// delivery decisions, log appends): trace happens before returning.
+/// delivery decisions, log appends, releases): granted and traced before
+/// returning.
 inline void Op(OpKind kind, uint32_t object_uid) { OpScope op(kind, object_uid); }
 
 /// Marks the calling thread as blocked on something outside the engine's
 /// arbitration (typically a thread join). The explore-mode scheduler
-/// excludes Blocked threads from its quiescence wait; replay ignores it.
+/// excludes Blocked threads from its quiescence wait; leaving the scope is
+/// a granted kMarker step, so the thread resumes at a place the trace
+/// records.
 class ScopedBlocked {
  public:
   ScopedBlocked();
@@ -164,7 +132,7 @@ class ScopedBlocked {
 // ---------------------------------------------------------------------------
 // Condition-variable redirection.
 //
-// In the armed modes (record/replay/explore) condition-variable waits must
+// While exploring, condition-variable waits must
 // not hand the mutex back through the native cv (the native wake-up race
 // would be an untraced scheduling decision). DebugCondVar instead performs
 // a *traced* unlock, parks on the engine until the cv's generation counter
@@ -173,7 +141,8 @@ class ScopedBlocked {
 // the lock-handoff order — the actual scheduling decision — lands in the
 // trace.
 
-/// True when condvars should use the traced unlock/park/re-lock path.
+/// True when condvars should use the traced unlock/park/re-lock path
+/// (the engine is exploring).
 bool CvRedirectArmed();
 
 /// Current generation of the condvar identified by `cv` (any stable
@@ -191,49 +160,17 @@ bool CvPark(const void* cv, uint64_t start_gen,
             std::chrono::steady_clock::time_point deadline);
 
 // ---------------------------------------------------------------------------
-// Record / replay.
-
-/// Starts recording the decision stream. `fuzz_layer` additionally runs
-/// the PCT-lite perturbation under the same seed, so a fuzzed run can be
-/// recorded and replayed exactly.
-void StartRecord(uint64_t seed, bool fuzz_layer);
-
-/// Stops recording and returns the trace (threads, objects, entries).
-Trace StopRecord();
-
-struct ReplayResult {
-  bool clean = false;        ///< full stream consumed, no divergence
-  size_t consumed = 0;       ///< trace entries matched
-  size_t total = 0;          ///< trace entries overall
-  size_t unmatched_ops = 0;  ///< live ops on objects unknown to the trace
-  /// Recorded entries skipped because their thread deregistered without
-  /// performing them. Whether a worker squeezes in one final no-op
-  /// iteration before observing an untraced stop flag is wall-clock state,
-  /// not decision-stream state, so the shutdown drain may legitimately
-  /// shed a few trailing lock/unlock pairs; the history-hash comparison
-  /// remains the authoritative equivalence check.
-  size_t skipped_exited = 0;
-  std::vector<std::string> divergences;
-  std::string ToString() const;
-};
-
-/// Arms replay of `trace`: subsequent operations are gated to follow the
-/// recorded per-object order. On divergence (an operation the trace does
-/// not expect next, or a stalled wait) the engine disarms itself, lets the
-/// run finish free-running, and reports via StopReplay().
-void StartReplay(const Trace& trace);
-ReplayResult StopReplay();
-
-// ---------------------------------------------------------------------------
-// Systematic exploration (driven by common/dpor).
+// Exploration.
 
 struct ExploreOptions {
-  /// Thread tokens to grant, in order, before free scheduling resumes.
+  /// Thread tokens to grant, in order, before free scheduling resumes
+  /// (the replay of a recorded trace; see ReplayOptions).
   std::vector<uint32_t> forced;
   /// sleep_add[i] = tokens to place in the sleep set at step i (after the
   /// forced prefix replays the first i steps). Indexed by step.
   std::vector<std::vector<uint32_t>> sleep_add;
-  /// Deterministic tie-break seed for free scheduling after the prefix.
+  /// Deterministic tie-break seed for free scheduling after the prefix
+  /// (only consulted with a preemption bound).
   uint64_t seed = 0;
   /// Max context switches away from the running thread while it is still
   /// runnable (PCT-style bound); <0 = unbounded.
@@ -266,10 +203,13 @@ struct ExploreRun {
   Trace trace;
   std::vector<ExploreStep> steps;
   size_t forced_consumed = 0;
-  /// Forced prefix could not be followed (thread exited / never arrived).
+  /// The forced prefix could not be followed to its end (a forced thread
+  /// exited, never arrived or never became runnable). A replay is clean
+  /// iff this is false.
   bool diverged = false;
   /// Grants issued by the stall watchdog (non-quiescent state): each one
-  /// is a nondeterminism warning.
+  /// is a nondeterminism warning. A stall after the forced prefix was
+  /// consumed counts here only, not in `diverged`.
   size_t stall_grants = 0;
   /// Steps where every runnable thread was asleep and the scheduler had
   /// to wake one (sleep-set blocked state).
@@ -284,6 +224,12 @@ ExploreRun StopExplore();
 /// persists across executions of one explore session so DPOR's forced
 /// prefixes stay meaningful).
 uint32_t ExploreTokenForName(const std::string& name);
+
+/// Explore options that replay `trace`: the forced prefix is the trace's
+/// thread sequence, its names mapped to this session's tokens through
+/// ExploreTokenForName (so a trace persisted by another process replays
+/// too), and the seed is the trace's.
+ExploreOptions ReplayOptions(const Trace& trace);
 
 }  // namespace dynamast::sched
 

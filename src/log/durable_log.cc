@@ -18,7 +18,7 @@ uint64_t DurableLog::Append(std::string serialized) {
       return entries_.size();
     }
     // Appends are ordering decisions (which commit reaches the topic
-    // first): record/replay serialize them through the per-topic stream.
+    // first): the explore scheduler grants and traces each one.
     DYNAMAST_SCHED_OP(kLogAppend, sched_uid_);
     entries_.push_back(std::move(serialized));
     offset = entries_.size() - 1;

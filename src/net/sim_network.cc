@@ -43,8 +43,8 @@ void SimulatedNetwork::Count(TrafficClass c, size_t bytes) {
   counters.messages->Increment();
   counters.bytes->Increment(bytes);
   // Delivery is a synchronization point even when delay charging is off:
-  // schedule fuzzing jitters message arrival order here, and record/replay
-  // serialize every delivery decision through the per-network queue.
+  // the explore scheduler orders message arrivals here and traces every
+  // delivery decision.
   DYNAMAST_SCHED_OP(kNetDeliver, sched_uid_);
 }
 

@@ -33,10 +33,10 @@ void AdmissionGate::Enter() {
   // is released keeps slot handoff off that lock (threads queue here under
   // saturation, exactly when the histogram is busiest).
   if (wait_us != nullptr) wait_us->Observe(watch.ElapsedMicros());
-  // Slot granted: schedule fuzzing reorders which admitted transaction
-  // actually reaches BeginTransaction first; record/replay capture the
-  // grant order (the winner itself is already pinned by the traced
-  // cv-wait re-acquisition of mu_).
+  // Slot granted: the explore scheduler decides which admitted
+  // transaction actually reaches BeginTransaction first, and its trace
+  // records the grant order (the winner itself is already pinned by the
+  // traced cv-wait re-acquisition of mu_).
   DYNAMAST_SCHED_OP(kGateGrant, sched_uid_);
 }
 

@@ -1,6 +1,7 @@
 #include "site/site_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -131,12 +132,24 @@ bool SiteManager::FreshnessProbe(const VersionVector& session,
   return svv_.DominatesOrEquals(session);
 }
 
-Status SiteManager::WaitForVersion(const VersionVector& min) const {
+Status SiteManager::WaitForVersion(const VersionVector& min,
+                                   const TxnOptions* begin) const {
   const auto deadline =
       std::chrono::steady_clock::now() + options_.freshness_timeout;
+  // Declared before the lock, so the span ends (and observes) after the
+  // lock is released.
+  std::optional<trace::Span> span;
   MutexLock lock(state_mu_);
   while (!svv_.DominatesOrEquals(min)) {
     if (stopping_.load(std::memory_order_acquire)) return Status::Unavailable("site stopping");
+    if (begin != nullptr && !span) {
+      // Strong-session freshness wait: how long this site lagged behind
+      // the session's observed frontier (the visible symptom of refresh
+      // delay). Only a begin that actually waits is timed.
+      span.emplace(tracer_, "vv_wait", "txn", options_.site_id, begin->client,
+                   exported_.vv_wait_us);
+      span->SetTxn(begin->client, begin->client_txn);
+    }
     if (state_cv_.wait_until(state_mu_, deadline) == std::cv_status::timeout &&
         !svv_.DominatesOrEquals(min)) {
       return Status::TimedOut("freshness wait: site at " + svv_.ToString() +
@@ -157,12 +170,7 @@ void SiteManager::ChargeDuration(std::chrono::nanoseconds d) const {
 
 Status SiteManager::BeginTransaction(const TxnOptions& opts, Transaction* txn) {
   if (!opts.min_begin_version.empty()) {
-    // Strong-session freshness wait: how long this site lagged behind the
-    // session's observed frontier (the visible symptom of refresh delay).
-    trace::Span span(tracer_, "vv_wait", "txn", options_.site_id, opts.client,
-                     exported_.vv_wait_us);
-    span.SetTxn(opts.client, opts.client_txn);
-    Status s = WaitForVersion(opts.min_begin_version);
+    Status s = WaitForVersion(opts.min_begin_version, &opts);
     if (!s.ok()) return s;
   }
 

@@ -115,7 +115,11 @@ class SiteManager {
   void SettleCharges() const { clock_.Settle(); }
 
   /// Blocks until svv dominates `min`, or the freshness timeout expires.
-  Status WaitForVersion(const VersionVector& min) const
+  /// With `begin`, a wait that actually blocks is timed as that begin's
+  /// `vv_wait` span (site_vv_wait_us); a site that already dominates `min`
+  /// records nothing.
+  Status WaitForVersion(const VersionVector& min,
+                        const TxnOptions* begin = nullptr) const
       DYNAMAST_EXCLUDES(state_mu_);
 
   // ---- Mastership / remastering (Algorithm 1 server side) -------------

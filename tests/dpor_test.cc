@@ -1,10 +1,10 @@
-// Engine-direct tests for the two-mode scheduler (common/scheduler) and
+// Engine-direct tests for the explore scheduler (common/scheduler) and
 // the DPOR driver (common/dpor). These bypass the hook-site macros and
 // call the engine API directly, so they run identically in default and
-// -DDYNAMAST_SCHED_FUZZ=ON builds: trace round-trip, record -> replay
-// determinism on a racy toy program, explore-mode serial determinism, and
-// DPOR's executed/pruned accounting on conflicting vs independent
-// threads.
+// -DDYNAMAST_SCHED_FUZZ=ON builds: trace round-trip, explore run ->
+// forced-prefix replay determinism on a racy toy program, divergence and
+// stall accounting, explore-mode serial determinism, and DPOR's
+// executed/pruned accounting on conflicting vs independent threads.
 
 #include <gtest/gtest.h>
 
@@ -77,8 +77,11 @@ TEST(SchedTraceTest, FileRoundTripAndCorruptionDetection) {
 }
 
 TEST(SchedTraceTest, ConflictRelation) {
-  // Only shared-shared commutes; everything else on one object conflicts.
+  // Only shared-shared and markers commute; everything else on one object
+  // conflicts.
   EXPECT_FALSE(OpsConflict(OpKind::kMutexLockShared, OpKind::kMutexLockShared));
+  EXPECT_FALSE(OpsConflict(OpKind::kMarker, OpKind::kMarker));
+  EXPECT_FALSE(OpsConflict(OpKind::kMarker, OpKind::kMutexLock));
   EXPECT_TRUE(OpsConflict(OpKind::kMutexLock, OpKind::kMutexLock));
   EXPECT_TRUE(OpsConflict(OpKind::kMutexLock, OpKind::kMutexLockShared));
   EXPECT_TRUE(OpsConflict(OpKind::kLogAppend, OpKind::kLogAppend));
@@ -141,56 +144,121 @@ ToyResult RunToy(int threads, int iters, uint32_t extra_independent = 0) {
   return result;
 }
 
-TEST(RecordReplayTest, ReplayReproducesRecordedInterleaving) {
+// A seeded, preemption-bounded explore run of the toy program: the
+// recording every replay test starts from.
+Trace RecordToy(uint64_t seed, int threads, int iters,
+                std::vector<int>* order) {
   ResetIdentities();
-  StartRecord(/*seed=*/99, /*fuzz_layer=*/false);
-  const ToyResult recorded = RunToy(3, 8);
-  const Trace trace = StopRecord();
-  ASSERT_EQ(recorded.order.size(), 24u);
-  ASSERT_FALSE(trace.entries.empty());
-  EXPECT_EQ(trace.entries.size(), 48u);  // lock + unlock per append
+  ExploreOptions eo;
+  eo.seed = seed;
+  eo.preemption_bound = 2;
+  eo.fresh_session = true;
+  eo.await_threads = static_cast<size_t>(threads);
+  StartExplore(eo);
+  *order = RunToy(threads, iters).order;
+  return StopExplore().trace;
+}
+
+// Replays `trace` by forced prefix around one toy run.
+ExploreRun ReplayToy(const Trace& trace, int threads, int iters,
+                     std::vector<int>* order) {
+  ResetIdentities();
+  StartExplore(ReplayOptions(trace));
+  *order = RunToy(threads, iters).order;
+  return StopExplore();
+}
+
+TEST(RecordReplayTest, ReplayReproducesRecordedInterleaving) {
+  std::vector<int> recorded;
+  const Trace trace = RecordToy(/*seed=*/99, 3, 8, &recorded);
+  ASSERT_EQ(recorded.size(), 24u);
+  // Lock + unlock per append, a start marker per worker, and main's
+  // rejoin marker after the joins.
+  EXPECT_EQ(trace.entries.size(), 52u);
 
   for (int round = 0; round < 2; ++round) {
-    ResetIdentities();
-    StartReplay(trace);
-    const ToyResult replayed = RunToy(3, 8);
-    const ReplayResult r = StopReplay();
-    EXPECT_TRUE(r.clean) << "round " << round << ": " << r.ToString();
-    EXPECT_EQ(r.consumed, trace.entries.size());
-    EXPECT_EQ(replayed.order, recorded.order) << "round " << round;
+    std::vector<int> replayed;
+    const ExploreRun r = ReplayToy(trace, 3, 8, &replayed);
+    EXPECT_FALSE(r.diverged) << "round " << round;
+    EXPECT_EQ(r.forced_consumed, trace.entries.size());
+    EXPECT_EQ(replayed, recorded) << "round " << round;
   }
 }
 
-TEST(RecordReplayTest, FuzzLayerRunsAreStillExactlyReplayable) {
-  ResetIdentities();
-  StartRecord(/*seed=*/0xf22, /*fuzz_layer=*/true);
-  const ToyResult recorded = RunToy(2, 6);
-  const Trace trace = StopRecord();
+TEST(RecordReplayTest, PersistedTraceReplaysInAFreshSession) {
+  // A trace parsed from text, replayed after the name->token session is
+  // wiped (as in a new process): names, not the recording's tokens, pick
+  // the threads.
+  std::vector<int> recorded;
+  const Trace recording = RecordToy(/*seed=*/0xf22, 2, 6, &recorded);
+  Trace parsed;
+  ASSERT_TRUE(Trace::Parse(recording.Serialize(), &parsed).ok());
+  ExploreOptions wipe;
+  wipe.fresh_session = true;
+  StartExplore(wipe);
+  (void)StopExplore();
 
-  ResetIdentities();
-  StartReplay(trace);
-  const ToyResult replayed = RunToy(2, 6);
-  const ReplayResult r = StopReplay();
-  EXPECT_TRUE(r.clean) << r.ToString();
-  EXPECT_EQ(replayed.order, recorded.order);
+  std::vector<int> replayed;
+  const ExploreRun r = ReplayToy(parsed, 2, 6, &replayed);
+  EXPECT_FALSE(r.diverged);
+  EXPECT_EQ(r.forced_consumed, parsed.entries.size());
+  EXPECT_EQ(replayed, recorded);
 }
 
 TEST(RecordReplayTest, DivergenceIsDetectedNotDeadlocked) {
-  ResetIdentities();
-  StartRecord(33, false);
-  (void)RunToy(2, 4);
-  Trace trace = StopRecord();
-  ASSERT_GE(trace.entries.size(), 4u);
-  // Corrupt the stream: swap the kinds of the first two entries so the
-  // live run's first operation mismatches the recorded head.
-  std::swap(trace.entries[0].kind, trace.entries[1].kind);
+  // An infeasible stream: both workers start, toy/0 takes the lock, then
+  // toy/1 is forced to lock while toy/0 still holds it. That step cannot
+  // be followed; the stall watchdog abandons the prefix and the run still
+  // completes.
+  Trace trace;
+  trace.threads = {"toy/0", "toy/1"};
+  trace.objects = {{"toy.lock", "main", 0}};
+  trace.entries = {{0, OpKind::kMarker, 0},
+                   {1, OpKind::kMarker, 0},
+                   {0, OpKind::kMutexLock, 0},
+                   {1, OpKind::kMutexLock, 0}};
+  std::vector<int> replayed;
+  const ExploreRun r = ReplayToy(trace, 2, 4, &replayed);
+  EXPECT_TRUE(r.diverged);
+  EXPECT_EQ(r.forced_consumed, 3u);
+  EXPECT_GE(r.stall_grants, 1u);
+  EXPECT_EQ(replayed.size(), 8u) << "the run must complete";
+}
 
+TEST(RecordReplayTest, StallAfterThePrefixIsNotADivergence) {
+  // "slow" follows its forced start, lock and unlock, then works untracked
+  // past the stall watchdog; "fast" is granted by the watchdog meanwhile.
+  // The prefix was followed, so only stall_grants records the stall.
   ResetIdentities();
-  StartReplay(trace);
-  (void)RunToy(2, 4);
-  const ReplayResult r = StopReplay();
-  EXPECT_FALSE(r.clean);
-  EXPECT_FALSE(r.divergences.empty());
+  const uint32_t uid = RegisterObject("toy.lock");
+  ExploreOptions eo;
+  eo.forced.assign(3, ExploreTokenForName("slow"));
+  eo.await_threads = 2;
+  StartExplore(eo);
+  auto lock_unlock = [uid] {
+    { OpScope op(OpKind::kMutexLock, uid); }
+    Op(OpKind::kMutexUnlock, uid);
+  };
+  std::thread slow([&] {
+    ThreadGuard guard("slow");
+    lock_unlock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2800));
+  });
+  std::thread fast([&] {
+    ThreadGuard guard("fast");
+    lock_unlock();
+  });
+  {
+    ScopedBlocked blocked;
+    slow.join();
+    fast.join();
+  }
+  const ExploreRun r = StopExplore();
+  EXPECT_FALSE(r.diverged);
+  EXPECT_EQ(r.forced_consumed, 3u);
+  EXPECT_GE(r.stall_grants, 1u);
+  // 2 x (start, lock, unlock) + main's rejoin.
+  EXPECT_EQ(r.trace.entries.size(), 7u);
 }
 
 TEST(ExploreTest, SerialSchedulerIsDeterministic) {
@@ -232,7 +300,7 @@ TEST(ExploreTest, ForcedPrefixIsObeyed) {
 
   ResetIdentities();
   ExploreOptions forced;
-  forced.forced = {other_token, other_token};  // its lock, then its unlock
+  forced.forced = {other_token, other_token};  // its start, then its lock
   forced.await_threads = 2;
   StartExplore(forced);
   const ToyResult forced_run = RunToy(2, 2);
@@ -248,8 +316,9 @@ TEST(ExploreTest, ForcedPrefixIsObeyed) {
 
 TEST(DporTest, TwoConflictingThreadsExploreBothOrders) {
   // 2 threads x 1 shared lock x 1 iteration: exactly two Mazurkiewicz
-  // classes (A before B, B before A). DPOR must run both and prune
-  // nothing.
+  // classes (A before B, B before A). DPOR must run both and nothing
+  // else; the alternatives it prunes are orders of the start markers,
+  // which commute with everything.
   std::vector<std::vector<int>> seen;
   DporOptions opts;
   opts.max_executions = 16;
@@ -261,7 +330,7 @@ TEST(DporTest, TwoConflictingThreadsExploreBothOrders) {
     return DporOutcome{};
   });
   EXPECT_EQ(stats.executed, 2u) << stats.ToString();
-  EXPECT_EQ(stats.pruned, 0u) << stats.ToString();
+  EXPECT_EQ(stats.pruned, 3u) << stats.ToString();
   EXPECT_FALSE(stats.budget_exhausted);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_NE(seen[0], seen[1]) << "the two runs must order the appends "
@@ -357,13 +426,14 @@ TEST(DporTest, MinimizeTracePrefixFindsShortestFailingPrefix) {
 // ---- Condvar redirection primitives ----------------------------------
 
 TEST(CvParkTest, NotifyWakesParkerAndDeadlineExpires) {
-  // Redirection is armed only in record/replay/explore modes; in kOff,
-  // CvPark passes straight through so native waits stay native.
+  // Redirection is armed only while exploring; in kOff, CvPark passes
+  // straight through so native waits stay native.
   EXPECT_FALSE(CvRedirectArmed());
   EXPECT_TRUE(CvPark(nullptr, 0, std::chrono::steady_clock::now()));
 
   ResetIdentities();
-  StartRecord(/*seed=*/1, /*fuzz_layer=*/false);
+  StartExplore(ExploreOptions{});
+  EXPECT_TRUE(CvRedirectArmed());
   int dummy = 0;
   const void* cv = &dummy;
   const uint64_t gen = CvGeneration(cv);
@@ -384,7 +454,7 @@ TEST(CvParkTest, NotifyWakesParkerAndDeadlineExpires) {
                                  std::chrono::steady_clock::now() +
                                      std::chrono::milliseconds(80));
   EXPECT_TRUE(timed_out);
-  (void)StopRecord();
+  (void)StopExplore();
 }
 
 }  // namespace

@@ -1,24 +1,26 @@
 // Schedule-exploring concurrency harness (tier 2): drives every system
-// through YCSB and SmallBank under the seedable schedule fuzzer
-// (common/scheduler) and audits each run's recorded history with
-// tools/si_checker. A failing seed is printed so the exact schedule bias
-// can be replayed with DYNAMAST_SCHED_SEED=<seed>.
+// through YCSB and SmallBank under the serial explore scheduler
+// (common/scheduler), one seeded, preemption-bounded schedule per seed,
+// and audits each run's recorded history with tools/si_checker. A failing
+// seed is printed so the same schedule can be rerun with
+// DYNAMAST_SCHED_SEED=<seed>.
 //
 // Environment knobs:
-//   DYNAMAST_SCHED_SEED   replay exactly one seed
+//   DYNAMAST_SCHED_SEED   rerun exactly one seed
 //   DYNAMAST_SCHED_SEEDS  number of seeds to explore (default 3; CI's
 //                         weekly job uses 50)
 //   DYNAMAST_SCHED_TRACE  path to a decision-stream trace dumped by a
 //                         failing run: TraceReplayTest replays it instead
 //                         of recording a fresh one
 //
-// Every audited run records its decision stream (sched::StartRecord), and
-// a failing audit persists the trace next to the history dump so the
-// exact interleaving — not just the seed — can be replayed.
+// Every audited run is an explore run, so its trace is the run's decision
+// stream; a failing audit persists it next to the history dump so the
+// exact interleaving — not just the seed — can be replayed by forced
+// prefix (sched::ReplayOptions).
 //
 // In builds without -DDYNAMAST_SCHED_FUZZ=ON the sync-point hooks are
 // no-ops and this degenerates to a plain multi-seed audit (still useful;
-// the fuzzed configuration is what CI's weekly job runs). The exact
+// the hooked configuration is what CI's weekly job runs). The exact
 // replay and DPOR tests skip there: without hooks the engine cannot steer
 // the schedule.
 //
@@ -35,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/dpor.h"
@@ -66,6 +69,20 @@ std::string TempPath(const std::string& name) {
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() != '/') dir += '/';
   return dir + name;
+}
+
+// Context switches a seeded schedule may make away from a still-runnable
+// thread: the fuzzing knob of the explore scheduler.
+constexpr int kPreemptionBound = 3;
+
+// A seeded, preemption-bounded explore run from a fresh token session, so
+// one seed gives one schedule whatever ran before it in the process.
+sched::ExploreOptions FuzzOptions(uint64_t seed) {
+  sched::ExploreOptions options;
+  options.seed = seed;
+  options.preemption_bound = kPreemptionBound;
+  options.fresh_session = true;
+  return options;
 }
 
 std::vector<uint64_t> FuzzSeeds() {
@@ -134,9 +151,9 @@ struct RunResult {
 // Runs one (system, workload, seed) combination in fixed-count mode —
 // every client executes exactly `ops_per_client` transactions, no
 // wall-clock windows — and returns the history, its hash, and the audit.
-// The caller picks the engine mode (fuzz / record / replay / explore)
-// around this call; fixed-count mode is what makes the run a pure
-// function of the schedule.
+// The caller brackets it with StartExplore/StopExplore (a seeded schedule
+// or a replay); fixed-count mode is what makes the run a pure function of
+// the schedule.
 RunResult RunOnce(workloads::SystemKind kind, WorkloadKind wkind,
                   uint64_t seed, uint64_t ops_per_client = 40) {
   RunResult r;
@@ -171,16 +188,19 @@ void DumpEvents(const std::vector<history::HistoryEvent>& events,
   }
 }
 
-// Runs one combination under the schedule fuzzer with the decision stream
-// recorded, and audits its history. Any anomaly fails the test with the
-// replay seed, a dump of the offending history, AND the recorded trace —
-// the exact interleaving, not just a probabilistic seed.
+// Runs one combination under one seeded schedule and audits its history.
+// Any anomaly fails the test with the seed, a dump of the offending
+// history, AND the run's trace — the exact interleaving. Without hooks
+// the engine cannot steer the system's threads (a thread that never
+// reaches a sync point would hold up every grant), so there the run is
+// free and the trace empty.
 void RunAndAudit(workloads::SystemKind kind, WorkloadKind wkind,
                  uint64_t seed) {
   sched::ResetIdentities();
-  sched::StartRecord(seed, /*fuzz_layer=*/true);
+  if (DYNAMAST_SCHED_FUZZ_ENABLED) sched::StartExplore(FuzzOptions(seed));
   const RunResult run = RunOnce(kind, wkind, seed);
-  const sched::Trace trace = sched::StopRecord();
+  sched::Trace trace;
+  if (DYNAMAST_SCHED_FUZZ_ENABLED) trace = sched::StopExplore().trace;
 
   EXPECT_GT(run.report.committed, 0u)
       << workloads::SystemKindName(kind) << " committed nothing (seed " << seed
@@ -236,24 +256,44 @@ TEST(ScheduleFuzzerTest, SyncPointsFireWhenEnabled) {
 #if !DYNAMAST_SCHED_FUZZ_ENABLED
   GTEST_SKIP() << "built without DYNAMAST_SCHED_FUZZ";
 #else
-  const uint64_t before = sched::PointCount();
-  sched::ScopedSeed fuzz(12345);
-  RangePartitioner partitioner(10, 2);
-  core::Cluster::Options copts;
-  copts.num_sites = 2;
-  copts.network.charge_delays = false;
-  core::Cluster cluster(copts, &partitioner);
-  ASSERT_TRUE(cluster.CreateTable(0).ok());
-  cluster.Stop();
-  EXPECT_GT(sched::PointCount(), before)
-      << "mutex hooks should hit the scheduler while fuzzing is enabled";
+  sched::ResetIdentities();
+  sched::StartExplore(FuzzOptions(12345));
+  {
+    RangePartitioner partitioner(10, 2);
+    core::Cluster::Options copts;
+    copts.num_sites = 2;
+    copts.network.charge_delays = false;
+    core::Cluster cluster(copts, &partitioner);
+    EXPECT_TRUE(cluster.CreateTable(0).ok());
+    cluster.Stop();
+  }
+  const sched::ExploreRun run = sched::StopExplore();
+  EXPECT_FALSE(run.trace.entries.empty())
+      << "mutex hooks should hit the scheduler while it explores";
 #endif
 }
 
 // ---- Exact replay ----------------------------------------------------
 
-// Records one run per workload, then replays the trace twice: both
-// replays must consume the full decision stream cleanly and produce a
+// Replays `trace` by forced prefix around one RunOnce.
+[[maybe_unused]] std::pair<RunResult, sched::ExploreRun> Replay(
+    const sched::Trace& trace, workloads::SystemKind kind, WorkloadKind wkind,
+    uint64_t seed) {
+  sched::ResetIdentities();
+  sched::StartExplore(sched::ReplayOptions(trace));
+  RunResult result = RunOnce(kind, wkind, seed);
+  return {std::move(result), sched::StopExplore()};
+}
+
+[[maybe_unused]] std::string ReplaySummary(const sched::ExploreRun& run,
+                                           const sched::Trace& trace) {
+  return "followed " + std::to_string(run.forced_consumed) + "/" +
+         std::to_string(trace.entries.size()) + " forced steps, " +
+         std::to_string(run.stall_grants) + " stall grants";
+}
+
+// Records one seeded run per workload, then replays its trace twice by
+// forced prefix: both replays must follow the whole prefix and produce a
 // history hash identical to each other and to the recorded run. This is
 // the deterministic-reproducer contract for every system.
 class ExactReplayTest
@@ -267,21 +307,21 @@ TEST_P(ExactReplayTest, TwoReplaysReproduceRecordedHistoryHash) {
     SCOPED_TRACE(WorkloadKindName(wkind));
     const uint64_t seed = FuzzSeeds().front();
     sched::ResetIdentities();
-    sched::StartRecord(seed, /*fuzz_layer=*/false);
+    sched::StartExplore(FuzzOptions(seed));
     const RunResult recorded = RunOnce(GetParam(), wkind, seed);
-    const sched::Trace trace = sched::StopRecord();
+    const sched::ExploreRun recording = sched::StopExplore();
+    const sched::Trace& trace = recording.trace;
     ASSERT_GT(recorded.report.committed, 0u);
+    ASSERT_FALSE(recording.hit_step_limit) << "trace covers only a prefix";
     ASSERT_FALSE(trace.entries.empty())
         << "hooks recorded no sync points; replay would be vacuous";
 
     uint64_t replay_hash[2] = {0, 1};
     for (int round = 0; round < 2; ++round) {
       SCOPED_TRACE("replay round " + std::to_string(round));
-      sched::ResetIdentities();
-      sched::StartReplay(trace);
-      const RunResult replayed = RunOnce(GetParam(), wkind, seed);
-      const sched::ReplayResult rr = sched::StopReplay();
-      EXPECT_TRUE(rr.clean) << rr.ToString();
+      const auto [replayed, run] = Replay(trace, GetParam(), wkind, seed);
+      EXPECT_FALSE(run.diverged) << ReplaySummary(run, trace);
+      EXPECT_EQ(run.forced_consumed, trace.entries.size());
       EXPECT_TRUE(replayed.audit.ok()) << replayed.audit.ToString();
       replay_hash[round] = replayed.hash;
     }
@@ -320,9 +360,9 @@ TEST(TraceReplayTest, PersistedTraceReplaysToIdenticalHashes) {
   } else {
     const uint64_t seed = FuzzSeeds().front();
     sched::ResetIdentities();
-    sched::StartRecord(seed, /*fuzz_layer=*/true);
+    sched::StartExplore(FuzzOptions(seed));
     (void)RunOnce(workloads::SystemKind::kDynaMast, WorkloadKind::kYcsb, seed);
-    trace = sched::StopRecord();
+    trace = sched::StopExplore().trace;
     trace.meta["system"] = "dynamast";
     trace.meta["workload"] = "ycsb";
     const std::string saved = TempPath("trace_replay_golden.trace");
@@ -345,11 +385,8 @@ TEST(TraceReplayTest, PersistedTraceReplaysToIdenticalHashes) {
   uint64_t hashes[2] = {0, 1};
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("replay round " + std::to_string(round));
-    sched::ResetIdentities();
-    sched::StartReplay(trace);
-    const RunResult replayed = RunOnce(kind, wkind, trace.seed);
-    const sched::ReplayResult rr = sched::StopReplay();
-    EXPECT_TRUE(rr.clean) << rr.ToString();
+    const auto [replayed, run] = Replay(trace, kind, wkind, trace.seed);
+    EXPECT_FALSE(run.diverged) << ReplaySummary(run, trace);
     hashes[round] = replayed.hash;
   }
   EXPECT_EQ(hashes[0], hashes[1])
@@ -399,6 +436,18 @@ TEST(DporExploreTest, PrunesEquivalentInterleavingsOnStockWorkload) {
 
 // ---- Anomaly-injection proof (DYNAMAST_BREAK_SI builds only) ---------
 
+// Explores for one scope and discards the run, so an ASSERT that returns
+// early still stops the engine.
+class ScopedExplore {
+ public:
+  explicit ScopedExplore(const sched::ExploreOptions& options) {
+    sched::StartExplore(options);
+  }
+  ~ScopedExplore() { (void)sched::StopExplore(); }
+  ScopedExplore(const ScopedExplore&) = delete;
+  ScopedExplore& operator=(const ScopedExplore&) = delete;
+};
+
 TEST(BreakSiProofTest, AuditorCatchesSkippedGrantWait) {
 #if !defined(DYNAMAST_BREAK_SI) || !DYNAMAST_BREAK_SI
   GTEST_SKIP() << "built without DYNAMAST_BREAK_SI";
@@ -410,7 +459,8 @@ TEST(BreakSiProofTest, AuditorCatchesSkippedGrantWait) {
   // auditor must catch, attributed to the remastering window.
   bool caught_window = false, caught_lost_update = false;
   for (uint64_t seed : FuzzSeeds()) {
-    sched::ScopedSeed fuzz(seed);
+    sched::ResetIdentities();
+    const ScopedExplore explore(FuzzOptions(seed));
     RangePartitioner partitioner(10, 2);
     log::LogManager logs(2);
     history::Recorder recorder;
@@ -522,9 +572,9 @@ bool RemasterRaceViolates() {
 
 // Satellite proof: systematic exploration beats random search on the
 // seeded violation, and its reproducer is deterministic. The random
-// baseline executes 50 schedules (one per seed); DPOR must find the
-// violation in strictly fewer executions, then the minimized trace must
-// replay the violation every single time.
+// baseline executes 50 seeded, preemption-bounded schedules (one per
+// seed); DPOR must find the violation in strictly fewer executions, then
+// the minimized trace must replay the violation every single time.
 TEST(BreakSiDporTest, ExplorerBeatsRandomBaselineAndMinimizes) {
 #if !defined(DYNAMAST_BREAK_SI) || !DYNAMAST_BREAK_SI
   GTEST_SKIP() << "built without DYNAMAST_BREAK_SI";
@@ -535,8 +585,9 @@ TEST(BreakSiDporTest, ExplorerBeatsRandomBaselineAndMinimizes) {
   uint64_t baseline_hits = 0;
   for (uint64_t seed = 1; seed <= kBaselineSchedules; ++seed) {
     sched::ResetIdentities();
-    sched::ScopedSeed fuzz(seed);
+    sched::StartExplore(FuzzOptions(seed));
     if (RemasterRaceViolates()) ++baseline_hits;
+    (void)sched::StopExplore();
   }
 
   sched::DporOptions opts;
@@ -560,13 +611,13 @@ TEST(BreakSiDporTest, ExplorerBeatsRandomBaselineAndMinimizes) {
   ASSERT_FALSE(stats.failure_trace.entries.empty());
 
   // Minimize, then prove the reproducer deterministic: every replay of
-  // the minimized trace reproduces the violation.
+  // the minimized trace follows its whole prefix and reproduces the
+  // violation.
   auto replay_fails = [&](const sched::Trace& cand) {
     sched::ResetIdentities();
-    sched::StartReplay(cand);
+    sched::StartExplore(sched::ReplayOptions(cand));
     const bool bad = RemasterRaceViolates();
-    (void)sched::StopReplay();
-    return bad;
+    return !sched::StopExplore().diverged && bad;
   };
   const sched::Trace minimized =
       sched::MinimizeTracePrefix(stats.failure_trace, replay_fails);

@@ -190,7 +190,7 @@ TEST(SimClockNetworkTest, RoundTripDeliversBothLegs) {
   GTEST_SKIP() << "built without DYNAMAST_SCHED_FUZZ (no delivery hooks)";
 #else
   sched::ResetIdentities();
-  sched::StartRecord(/*seed=*/7, /*fuzz_layer=*/false);
+  sched::StartExplore(sched::ExploreOptions{});
   std::thread sender([] {
     sched::ThreadGuard guard("sim_clock/sender");
     metrics::Registry registry;
@@ -200,7 +200,7 @@ TEST(SimClockNetworkTest, RoundTripDeliversBothLegs) {
     network.RoundTrip(net::TrafficClass::kCoordination, 64, 64);
   });
   sender.join();
-  const sched::Trace trace = sched::StopRecord();
+  const sched::Trace trace = sched::StopExplore().trace;
   size_t deliveries = 0;
   for (const sched::TraceEntry& e : trace.entries) {
     if (e.kind == sched::OpKind::kNetDeliver) ++deliveries;

@@ -445,6 +445,29 @@ TEST_F(SiteFixture, FreshnessWaitTimesOutWithoutAppliers) {
   EXPECT_TRUE(sites_[1]->BeginTransaction(options, &reader).IsTimedOut());
 }
 
+// site_vv_wait_us times only begins that actually wait: a begin whose
+// session minimum the site already dominates adds no sample, and one that
+// blocks (here until the freshness timeout) adds exactly one.
+TEST_F(SiteFixture, VvWaitTimesOnlyBeginsThatWait) {
+  const metrics::Histogram* wait0 =
+      registry_.GetHistogram("site_vv_wait_us", {{"site", "0"}});
+  const metrics::Histogram* wait1 =
+      registry_.GetHistogram("site_vv_wait_us", {{"site", "1"}});
+  const VersionVector t1 = WriteKey(0, 1, "x");
+  TxnOptions options;
+  options.read_only = true;
+  options.min_begin_version = t1;
+
+  Transaction at_origin;  // site 0 committed t1 itself
+  ASSERT_TRUE(sites_[0]->BeginTransaction(options, &at_origin).ok());
+  EXPECT_EQ(wait0->recorder().count(), 0u);
+
+  Transaction lagging;  // no appliers: site 1 never reaches t1
+  EXPECT_TRUE(sites_[1]->BeginTransaction(options, &lagging).IsTimedOut());
+  EXPECT_EQ(wait1->recorder().count(), 1u);
+  EXPECT_EQ(wait0->recorder().count(), 0u);
+}
+
 TEST_F(SiteFixture, ReadOnlyCommitDoesNotBumpSvv) {
   TxnOptions options;
   options.read_only = true;
