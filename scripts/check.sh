@@ -6,7 +6,8 @@
 #   build        default build (everything: tests, examples, benches)
 #   tier1/tier2  default ctest
 #   repeat       the multi-master conservation audit, the LEAP and the
-#                partition-store tests 200 times, the LEAP and
+#                partition-store tests 200 times, the table-index growth
+#                under concurrent readers 200 times, the LEAP and
 #                partition-store race stress 10 times (default build):
 #                schedule-dependent failures that one ctest run misses
 #   ignored-inputs  fails if any file under src/ tests/ scripts/ bench/
@@ -119,6 +120,9 @@ repeat_stage() {
   ./build/tests/baselines_test --gtest_brief=1 \
     --gtest_filter='MultiMasterTest.ConcurrentMixConservesTotal:LeapTest.*:PartitionStoreTest.*' \
     --gtest_repeat=200 &&
+    ./build/tests/storage_test --gtest_brief=1 \
+      --gtest_filter='TableTest.GrowthUnderConcurrentReaders' \
+      --gtest_repeat=200 &&
     ./build/tests/race_stress_test --gtest_brief=1 \
       --gtest_filter='*Leap*:*PartitionStore*' --gtest_repeat=10
 }

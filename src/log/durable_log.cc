@@ -36,12 +36,13 @@ uint64_t DurableLog::Size() const {
 Status DurableLog::Read(uint64_t offset, std::string* out,
                         std::chrono::steady_clock::time_point deadline) const {
   MutexLock lock(mu_);
+  bool timed_out = false;
   while (offset >= entries_.size()) {
+    // Checked before the deadline: a wait that timed out while Close()
+    // ran still reports the closed log.
     if (closed_) return Status::Unavailable("log closed");
-    if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout &&
-        offset >= entries_.size()) {
-      return Status::TimedOut("log read deadline");
-    }
+    if (timed_out) return Status::TimedOut("log read deadline");
+    timed_out = cv_.wait_until(mu_, deadline) == std::cv_status::timeout;
   }
   *out = entries_[offset];
   return Status::OK();

@@ -1,19 +1,35 @@
 #include "storage/record.h"
 
+#include "common/invariant_checker.h"
+
 namespace dynamast::storage {
+
+VersionedRecord::VersionedRecord(size_t max_versions)
+    : capacity_(static_cast<uint8_t>(max_versions)) {
+  if (max_versions == 0 || max_versions > kMaxVersions) {
+    invariants::Failure(__FILE__, __LINE__,
+                        "0 < max_versions <= kMaxVersions",
+                        "record capacity " + std::to_string(max_versions));
+  }
+}
 
 void VersionedRecord::Install(SiteId origin, uint64_t seq, std::string value,
                               InstallStats* stats) {
   MutexLock lock(mu_);
-  versions_.push_back(RecordVersion{origin, seq, std::move(value)});
-  bool pruned = false;
-  if (versions_.size() > max_versions_) {
-    versions_.pop_front();
+  const bool pruned = count_ == capacity_;
+  // Past the newest: a free slot, or the oldest version's when full.
+  RecordVersion& slot = ring_[SlotOf(count_)];
+  slot.origin = origin;
+  slot.seq = seq;
+  slot.value = std::move(value);
+  if (pruned) {
+    head_ = static_cast<uint8_t>(SlotOf(1));
     ++pruned_;
-    pruned = true;
+  } else {
+    ++count_;
   }
   if (stats != nullptr) {
-    stats->chain_len = versions_.size();
+    stats->chain_len = count_;
     stats->pruned = pruned;
   }
 }
@@ -22,12 +38,15 @@ Status VersionedRecord::ReadAtSnapshot(const VersionVector& snapshot,
                                        std::string* out,
                                        VersionStamp* observed) const {
   MutexLock lock(mu_);
-  for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
+  for (size_t i = count_; i-- > 0;) {
+    const RecordVersion& version = ring_[SlotOf(i)];
     const uint64_t visible_up_to =
-        it->origin < snapshot.size() ? snapshot[it->origin] : 0;
-    if (it->seq <= visible_up_to) {
-      *out = it->value;
-      if (observed != nullptr) *observed = VersionStamp{it->origin, it->seq};
+        version.origin < snapshot.size() ? snapshot[version.origin] : 0;
+    if (version.seq <= visible_up_to) {
+      *out = version.value;
+      if (observed != nullptr) {
+        *observed = VersionStamp{version.origin, version.seq};
+      }
       return Status::OK();
     }
   }
@@ -39,14 +58,14 @@ Status VersionedRecord::ReadAtSnapshot(const VersionVector& snapshot,
 
 Status VersionedRecord::ReadLatest(std::string* out) const {
   MutexLock lock(mu_);
-  if (versions_.empty()) return Status::NotFound("no versions");
-  *out = versions_.back().value;
+  if (count_ == 0) return Status::NotFound("no versions");
+  *out = ring_[SlotOf(count_ - 1)].value;
   return Status::OK();
 }
 
 size_t VersionedRecord::NumVersions() const {
   MutexLock lock(mu_);
-  return versions_.size();
+  return count_;
 }
 
 uint64_t VersionedRecord::PrunedCount() const {

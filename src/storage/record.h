@@ -1,8 +1,8 @@
 #ifndef DYNAMAST_STORAGE_RECORD_H_
 #define DYNAMAST_STORAGE_RECORD_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 
@@ -51,16 +51,22 @@ struct InstallStats {
 /// database stores multiple versions of every record — four by default).
 /// The chain is kept in site-local install order, which for a single record
 /// equals the global write order (writes to a record are totally ordered by
-/// single mastership + write locks).
+/// single mastership + write locks). It lives inline in a fixed ring, so a
+/// record is one allocation however many versions it has seen.
 class VersionedRecord {
  public:
-  explicit VersionedRecord(size_t max_versions) : max_versions_(max_versions) {}
+  /// Ring size: the paper's default of four retained versions.
+  static constexpr size_t kMaxVersions = 4;
+
+  /// `max_versions` is the retained-version capacity, 1..kMaxVersions; any
+  /// other value is a programming error and aborts.
+  explicit VersionedRecord(size_t max_versions);
 
   VersionedRecord(const VersionedRecord&) = delete;
   VersionedRecord& operator=(const VersionedRecord&) = delete;
 
   /// Appends a new version (newest end), pruning the oldest retained
-  /// version if the chain exceeds its capacity. `stats` (when non-null)
+  /// version if the chain is at capacity. `stats` (when non-null)
   /// receives the post-install chain length and whether a prune happened.
   void Install(SiteId origin, uint64_t seq, std::string value,
                InstallStats* stats = nullptr) DYNAMAST_EXCLUDES(mu_);
@@ -83,12 +89,20 @@ class VersionedRecord {
   uint64_t PrunedCount() const DYNAMAST_EXCLUDES(mu_);
 
  private:
+  // The ring slot of the i-th retained version (0 = oldest), i <= capacity_.
+  size_t SlotOf(size_t i) const DYNAMAST_REQUIRES(mu_) {
+    const size_t slot = head_ + i;
+    return slot < capacity_ ? slot : slot - capacity_;
+  }
+
   // Leaf lock: held only around version-chain reads/appends, never while
   // acquiring any other lock.
   mutable DebugMutex mu_{"storage.record"};
-  // Oldest at front, newest at back.
-  std::deque<RecordVersion> versions_ DYNAMAST_GUARDED_BY(mu_);
-  size_t max_versions_;  // immutable after construction
+  // Slots [0, capacity_) hold the chain; the oldest is at head_.
+  std::array<RecordVersion, kMaxVersions> ring_ DYNAMAST_GUARDED_BY(mu_);
+  uint8_t head_ DYNAMAST_GUARDED_BY(mu_) = 0;
+  uint8_t count_ DYNAMAST_GUARDED_BY(mu_) = 0;
+  const uint8_t capacity_;
   uint64_t pruned_ DYNAMAST_GUARDED_BY(mu_) = 0;
 };
 

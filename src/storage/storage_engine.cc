@@ -5,7 +5,7 @@ namespace dynamast::storage {
 Status StorageEngine::CreateTable(TableId id) {
   WriterMutexLock lock(tables_mu_);
   auto [it, inserted] = tables_.emplace(
-      id, std::make_unique<Table>(id, options_.max_versions_per_record));
+      id, std::make_unique<Table>(id, VersionedRecord::kMaxVersions));
   (void)it;
   if (!inserted) return Status::AlreadyExists("table exists");
   return Status::OK();

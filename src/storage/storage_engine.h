@@ -18,17 +18,12 @@ namespace dynamast::storage {
 /// StorageEngine is one data site's in-memory multi-version store: a set of
 /// tables plus the record write-lock manager. It is deliberately free of
 /// any replication or mastership logic — those live in site::SiteManager —
-/// so the same engine backs DynaMast and every baseline system.
+/// so the same engine backs DynaMast and every baseline system. Every
+/// record retains VersionedRecord::kMaxVersions versions ("by default four,
+/// as determined empirically", Section V-A1).
 class StorageEngine {
  public:
-  struct Options {
-    /// Versions retained per record ("by default four, as determined
-    /// empirically", Section V-A1).
-    size_t max_versions_per_record = 4;
-  };
-
-  StorageEngine() : StorageEngine(Options{}) {}
-  explicit StorageEngine(const Options& options) : options_(options) {}
+  StorageEngine() = default;
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
@@ -60,7 +55,6 @@ class StorageEngine {
   size_t TotalRows() const;
 
  private:
-  Options options_;
   // Guards the table map, not table contents. Reader-writer: table lookup
   // is on every operation's path, table creation happens only at load.
   mutable DebugSharedMutex tables_mu_{"storage.tables"};

@@ -1,6 +1,50 @@
 #include "storage/table.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 namespace dynamast::storage {
+
+namespace {
+constexpr size_t kMinSlots = 16;
+}  // namespace
+
+size_t Table::Shard::Probe(uint64_t row) const {
+  // Home slot: the hash bits just below the shard bits (every row in this
+  // shard has the same shard bits).
+  const size_t mask = slots.size() - 1;
+  size_t i = static_cast<size_t>((Hash(row) << kShardBits) >>
+                                 (64 - std::countr_zero(slots.size())));
+  while (slots[i].record != nullptr && slots[i].row != row) i = (i + 1) & mask;
+  return i;
+}
+
+VersionedRecord* Table::Shard::Find(uint64_t row) const {
+  if (slots.empty()) return nullptr;
+  return slots[Probe(row)].record.get();
+}
+
+VersionedRecord* Table::Shard::FindOrInsert(uint64_t row,
+                                            size_t max_versions) {
+  if (VersionedRecord* found = Find(row)) return found;
+  if ((num_rows + 1) * 2 > slots.size()) Grow();
+  Slot& slot = slots[Probe(row)];
+  slot.row = row;
+  slot.record = std::make_unique<VersionedRecord>(max_versions);
+  ++num_rows;
+  return slot.record.get();
+}
+
+void Table::Shard::Grow() {
+  std::vector<Slot> old = std::exchange(
+      slots, std::vector<Slot>(std::max(kMinSlots, 2 * slots.size())));
+  for (Slot& slot : old) {
+    if (slot.record == nullptr) continue;
+    const size_t i = Probe(slot.row);
+    slots[i] = std::move(slot);
+  }
+}
 
 void Table::Install(uint64_t row, SiteId origin, uint64_t seq,
                     std::string value, InstallStats* stats) {
@@ -8,14 +52,11 @@ void Table::Install(uint64_t row, SiteId origin, uint64_t seq,
   VersionedRecord* record = nullptr;
   {
     ReaderMutexLock read_lock(shard.mu);
-    auto it = shard.rows.find(row);
-    if (it != shard.rows.end()) record = it->second.get();
+    record = shard.Find(row);
   }
   if (record == nullptr) {
     WriterMutexLock write_lock(shard.mu);
-    auto& slot = shard.rows[row];
-    if (!slot) slot = std::make_unique<VersionedRecord>(max_versions_);
-    record = slot.get();
+    record = shard.FindOrInsert(row, max_versions_);
   }
   record->Install(origin, seq, std::move(value), stats);
 }
@@ -23,8 +64,7 @@ void Table::Install(uint64_t row, SiteId origin, uint64_t seq,
 const VersionedRecord* Table::Find(uint64_t row) const {
   const Shard& shard = ShardFor(row);
   ReaderMutexLock read_lock(shard.mu);
-  auto it = shard.rows.find(row);
-  return it == shard.rows.end() ? nullptr : it->second.get();
+  return shard.Find(row);
 }
 
 Status Table::Read(uint64_t row, const VersionVector& snapshot,
@@ -46,7 +86,7 @@ size_t Table::NumRows() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     ReaderMutexLock read_lock(shard.mu);
-    total += shard.rows.size();
+    total += shard.num_rows;
   }
   return total;
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/debug_mutex.h"
@@ -21,9 +20,11 @@ namespace dynamast::storage {
 /// using the primary key of each record as an index").
 ///
 /// The hash index is sharded; each shard is guarded by a shared_mutex so
-/// lookups scale while inserts take a brief exclusive lock. VersionedRecord
-/// pointers are stable once inserted (heap-allocated), so readers can drop
-/// the index lock before touching the version chain.
+/// lookups scale while inserts take a brief exclusive lock. A shard's index
+/// is a flat open-addressing array of (row, record) slots; each record is
+/// one heap allocation whose address never changes once inserted (growing
+/// the index moves only the slots), so readers can drop the index lock
+/// before touching the version chain. Rows are never erased.
 class Table {
  public:
   Table(TableId id, size_t max_versions_per_record)
@@ -51,21 +52,40 @@ class Table {
   size_t NumRows() const;
 
  private:
-  static constexpr size_t kNumShards = 64;
+  static constexpr int kShardBits = 6;
+  static constexpr size_t kNumShards = size_t{1} << kShardBits;
+
+  struct Slot {
+    uint64_t row = 0;
+    std::unique_ptr<VersionedRecord> record;  // null: the slot is empty
+  };
+
   struct Shard {
     // Shards never nest: every operation touches exactly one shard at a
     // time (NumRows counts shard by shard).
     mutable DebugSharedMutex mu{"storage.table_shard"};
-    // The *index* is guarded; VersionedRecord pointers are stable once
-    // inserted, so readers drop the index lock before touching chains.
-    std::unordered_map<uint64_t, std::unique_ptr<VersionedRecord>> rows
-        DYNAMAST_GUARDED_BY(mu);
+    // The *index* is guarded; records are not, and never move. Linear
+    // probing over a power-of-two array that is at most half full, so
+    // every probe run ends at an empty slot.
+    std::vector<Slot> slots DYNAMAST_GUARDED_BY(mu);
+    size_t num_rows DYNAMAST_GUARDED_BY(mu) = 0;
+
+    VersionedRecord* Find(uint64_t row) const DYNAMAST_REQUIRES_SHARED(mu);
+    // Returns the row's record, creating it if absent.
+    VersionedRecord* FindOrInsert(uint64_t row, size_t max_versions)
+        DYNAMAST_REQUIRES(mu);
+
+   private:
+    // The slot holding `row`, else the empty slot that ends its probe run.
+    size_t Probe(uint64_t row) const DYNAMAST_REQUIRES_SHARED(mu);
+    void Grow() DYNAMAST_REQUIRES(mu);
   };
+
+  static uint64_t Hash(uint64_t row) { return row * 0x9e3779b97f4a7c15ULL; }
   Shard& ShardFor(uint64_t row) { return shards_[ShardIndex(row)]; }
   const Shard& ShardFor(uint64_t row) const { return shards_[ShardIndex(row)]; }
   static size_t ShardIndex(uint64_t row) {
-    uint64_t x = row * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(x >> 58);  // top 6 bits -> 64 shards
+    return static_cast<size_t>(Hash(row) >> (64 - kShardBits));
   }
 
   const VersionedRecord* Find(uint64_t row) const;

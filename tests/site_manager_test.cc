@@ -94,7 +94,7 @@ class SiteFixture : public ::testing::Test {
 TEST(SiteMetricsTest, DeferredInstallAndRefreshMetricsMatchWorkDone) {
   constexpr uint32_t kSites = 2;
   constexpr uint64_t kKeyA = 1, kKeyB = 2;
-  constexpr int kCommits = 6;  // > max_versions_per_record (4): prunes happen
+  constexpr int kCommits = 6;  // > 4 retained versions: prunes happen
 
   // Pin the shared metrics epoch now: the first NowMicros() call in a
   // process returns 0, and a commit stamped 0 reads as "no append

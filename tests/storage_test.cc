@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/lock_manager.h"
@@ -165,6 +167,46 @@ TEST(VersionedRecordTest, ReadLatest) {
   EXPECT_EQ(value, "b");
 }
 
+TEST(VersionedRecordTest, RingWrapsAroundForThreeLaps) {
+  // Every install past capacity overwrites the oldest slot; after each
+  // one the whole retained window reads at its own snapshot and the
+  // version it evicted is gone.
+  for (const size_t capacity : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    VersionedRecord record(capacity);
+    const uint64_t installs = 3 * capacity + 1;
+    for (uint64_t seq = 1; seq <= installs; ++seq) {
+      InstallStats stats;
+      record.Install(0, seq, "v" + std::to_string(seq), &stats);
+      const uint64_t retained = std::min<uint64_t>(seq, capacity);
+      EXPECT_EQ(stats.chain_len, retained);
+      EXPECT_EQ(stats.pruned, seq > capacity);
+      EXPECT_EQ(record.NumVersions(), retained);
+      EXPECT_EQ(record.PrunedCount(), seq - retained);
+      std::string value;
+      for (uint64_t kept = seq - retained + 1; kept <= seq; ++kept) {
+        ASSERT_TRUE(record.ReadAtSnapshot(Vv({kept}), &value).ok())
+            << "after install " << seq << ", snapshot " << kept;
+        EXPECT_EQ(value, "v" + std::to_string(kept));
+      }
+      if (seq > capacity) {
+        EXPECT_TRUE(record.ReadAtSnapshot(Vv({seq - capacity}), &value)
+                        .IsSnapshotTooOld())
+            << "after install " << seq;
+      }
+      ASSERT_TRUE(record.ReadLatest(&value).ok());
+      EXPECT_EQ(value, "v" + std::to_string(seq));
+    }
+  }
+}
+
+// The ring has kMaxVersions slots; asking for more is a programming error.
+TEST(VersionedRecordDeathTest, CapacityAboveRingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(VersionedRecord record(VersionedRecord::kMaxVersions + 1),
+               "record capacity 5");
+}
+
 // ---- Table ---------------------------------------------------------------
 
 TEST(TableTest, InstallAndRead) {
@@ -204,6 +246,84 @@ TEST(TableTest, ConcurrentInstallsDistinctRows) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(table.NumRows(), 2000u);
+}
+
+// Installs `rows` into a fresh table, then checks every row reads back and
+// each neighbour (row +/- 1) is present exactly when it is one of `rows`.
+void ExpectIndexHolds(std::vector<uint64_t> rows) {
+  Table table(0, 4);
+  for (const uint64_t row : rows) table.Install(row, 0, 0, std::to_string(row));
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(table.NumRows(), rows.size());
+  std::string value;
+  for (const uint64_t row : rows) {
+    ASSERT_TRUE(table.Contains(row)) << row;
+    ASSERT_TRUE(table.Read(row, Vv({0}), &value).ok()) << row;
+    ASSERT_EQ(value, std::to_string(row));
+    for (const uint64_t neighbour : {row - 1, row + 1}) {
+      if (std::binary_search(rows.begin(), rows.end(), neighbour)) continue;
+      ASSERT_FALSE(table.Contains(neighbour)) << neighbour;
+      ASSERT_TRUE(table.Read(neighbour, Vv({0}), &value).IsNotFound())
+          << neighbour;
+    }
+  }
+}
+
+TEST(TableTest, IndexGrowsOverDenseRows) {
+  std::vector<uint64_t> rows;
+  for (uint64_t row = 0; row < 100000; ++row) rows.push_back(row);
+  ExpectIndexHolds(std::move(rows));
+}
+
+TEST(TableTest, IndexGrowsOverSparseTpccKeys) {
+  // TPC-C-style composite keys: district, order and line packed into
+  // disjoint bit ranges, so most of the key space is empty.
+  std::vector<uint64_t> rows;
+  for (uint64_t d = 1; d <= 10; ++d) {
+    for (uint64_t o = 1; o <= 1000; ++o) {
+      for (uint64_t line = 1; line <= 10; ++line) {
+        rows.push_back((d << 40) | (o << 8) | line);
+      }
+    }
+  }
+  ExpectIndexHolds(std::move(rows));
+}
+
+TEST(TableTest, GrowthUnderConcurrentReaders) {
+  // Readers drop the shard lock before touching a record, so a record
+  // must not move while another thread's inserts grow its shard's index.
+  constexpr uint64_t kPreloaded = 1000;
+  constexpr uint64_t kInserted = 50000;
+  Table table(0, 4);
+  for (uint64_t row = 0; row < kPreloaded; ++row) {
+    table.Install(row, 0, 0, std::to_string(row));
+  }
+  std::atomic<uint64_t> published{kPreloaded};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(static_cast<uint64_t>(t) + 1);
+      std::string value;
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t row =
+            rng.Uniform(published.load(std::memory_order_acquire));
+        if (!table.Read(row, Vv({0}), &value).ok() ||
+            value != std::to_string(row)) {
+          bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (uint64_t row = kPreloaded; row < kPreloaded + kInserted; ++row) {
+    table.Install(row, 0, 0, std::to_string(row));
+    published.store(row + 1, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(table.NumRows(), kPreloaded + kInserted);
 }
 
 // ---- LockManager ----------------------------------------------------------
@@ -357,17 +477,18 @@ TEST(StorageEngineTest, UnknownTableRejected) {
                   .IsInvalidArgument());
 }
 
-TEST(StorageEngineTest, MaxVersionsOptionRespected) {
-  StorageEngine::Options options;
-  options.max_versions_per_record = 2;
-  StorageEngine engine(options);
+TEST(StorageEngineTest, RetainsFourVersionsPerRecord) {
+  StorageEngine engine;
   ASSERT_TRUE(engine.CreateTable(1).ok());
   const RecordKey key{1, 1};
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE(engine.Install(key, 0, seq, "v").ok());
+  for (uint64_t seq = 1; seq <= 5; ++seq) {
+    ASSERT_TRUE(engine.Install(key, 0, seq, "v" + std::to_string(seq)).ok());
   }
   std::string value;
+  // The fifth install pruned v1; v2..v5 are retained.
   EXPECT_TRUE(engine.Read(key, Vv({1}), &value).IsSnapshotTooOld());
+  ASSERT_TRUE(engine.Read(key, Vv({2}), &value).ok());
+  EXPECT_EQ(value, "v2");
 }
 
 }  // namespace
